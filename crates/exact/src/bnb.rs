@@ -20,23 +20,34 @@
 //!
 //! # Bound stack
 //!
-//! * **Warm start** — the incumbent opens as the better of the paper's FirstFit
-//!   (canonical longest-first order) and FirstFit in branch order, then *polished* by a
-//!   strictly-improving single-job relocation descent ([`polish`]).  Every new
-//!   incumbent the search finds is polished the same way: on instances whose optimum
-//!   meets the clique relaxation, landing the incumbent on it ends the search
-//!   immediately, so incumbent quality is a pruning lever, not cosmetics.
+//! * **Warm start** — the incumbent opens as the best of the paper's FirstFit
+//!   (canonical longest-first order), FirstFit in branch order, and the component's
+//!   share of the default dispatcher's schedule ([`solve_auto`]) for the *whole*
+//!   instance, then *polished* by a strictly-improving single-job relocation descent
+//!   (`polish`).  Busy time adds up across components, so the upper bound never
+//!   exceeds what the dispatcher (clique set cover, BestCut, FirstFit, …) finds for
+//!   the instance.  Every new incumbent the search finds is polished the same way: on
+//!   instances whose optimum meets the clique relaxation, landing the incumbent on it
+//!   ends the search immediately, so incumbent quality is a pruning lever, not
+//!   cosmetics.
 //! * **Static clique relaxation** — `∫ ⌈depth(t)/g⌉ dt` over the whole component,
-//!   computed once from the depth profile; no schedule can beat it (Observation 2.1
-//!   generalized pointwise).
+//!   the pricing grid's total before any job is placed; no schedule can beat it
+//!   (Observation 2.1 generalized pointwise).
 //! * **Committed cost** — the sum of the open machines' busy times, maintained
 //!   incrementally from [`MachineState::insert`] deltas; machine unions only grow, so
 //!   it never decreases along a branch.
 //! * **Incremental pricing** — `∫ max(busy(t), ⌈depth(t)/g⌉) dt`, where `busy(t)`
 //!   counts machines whose current job union covers `t`: every open machine stays busy
 //!   wherever it is busy now, and the unassigned jobs still force `⌈depth/g⌉` machines
-//!   pointwise.  This dominates both cheaper bounds and is only priced when they fail
-//!   to prune.
+//!   pointwise.  This dominates both cheaper bounds.  It lives on a `PricingGrid`
+//!   built once per component over the elementary segments between consecutive job
+//!   endpoints: each segment keeps its length, its `need = ⌈depth/g⌉` and its `busy`
+//!   count, next to the running total `Σ len·max(busy, need)`.  Placing a job raises
+//!   `busy` only on the segments its machine did not cover yet, and undoing the
+//!   placement lowers them again — O(segments touched), no sort, no allocation.  A
+//!   child is priced by a read-only pass over the same segments before anything is
+//!   placed, so the children it prunes never touch the machine state.  Touching
+//!   intervals add no measure, so the total equals the from-scratch integral exactly.
 //!
 //! # Budget semantics
 //!
@@ -47,9 +58,10 @@
 //! component, summed across components.  Bounds are therefore valid even on
 //! exhaustion — `lower ≤ OPT ≤ upper` always holds.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
-use busytime::minbusy::{first_fit, first_fit_in_order};
+use busytime::minbusy::{first_fit, first_fit_in_order, solve_auto};
 use busytime::{Duration, ExactBudget, ExactOutcome, Instance, MachineState, Schedule};
 use busytime_interval::{union, Interval};
 
@@ -73,6 +85,8 @@ pub(crate) struct NodeView<'a> {
     pub lower: Duration,
     /// Component-local ids of the not-yet-assigned jobs, in branch order.
     pub unassigned: &'a [usize],
+    /// Per open machine, its assigned intervals in insertion order.
+    pub machines: &'a [Vec<Interval>],
 }
 
 /// A per-node callback: `(component instance, node view)`.
@@ -102,10 +116,21 @@ pub(crate) fn branch_and_bound_with_visitor(
     let mut total_lower = 0i64;
     let mut all_optimal = true;
     let mut machine_offset = 0usize;
+    // The default dispatcher's schedule for the whole instance: its share of each
+    // component warm-starts that component's search alongside the local FirstFits.
+    let (whole, _) = solve_auto(instance);
     for ids in instance.connected_components() {
         let (comp, mapping) = instance.sub_instance(&ids);
+        let induced = induced_schedule(&whole, &mapping);
         let reborrowed: Option<&mut NodeVisitor<'_>> = visitor.as_deref_mut();
-        let result = solve_component(&comp, budget.max_nodes, deadline, &mut nodes, reborrowed);
+        let result = solve_component(
+            &comp,
+            induced,
+            budget.max_nodes,
+            deadline,
+            &mut nodes,
+            reborrowed,
+        );
         for (local, &machine) in result.assignment.iter().enumerate() {
             schedule.assign(mapping[local], machine_offset + machine);
         }
@@ -131,18 +156,19 @@ pub(crate) fn branch_and_bound_with_visitor(
     }
 }
 
-/// The static clique relaxation `∫ ⌈depth(t)/g⌉ dt`: with `v[k-1]` the length covered
-/// by at least `k` jobs, the integral telescopes to `v[0] + v[g] + v[2g] + …`.
-fn clique_relaxation_lb(comp: &Instance) -> i64 {
-    let per_depth = comp.depth_profile().per_depth_lengths();
-    let g = comp.capacity();
-    let mut total = 0i64;
-    let mut k = 0usize;
-    while k < per_depth.len() {
-        total += per_depth[k].ticks();
-        k += g;
+/// The component's share of a whole-instance schedule (`mapping[local] = global` job
+/// id), with machines renumbered contiguously in order of first use.
+fn induced_schedule(whole: &Schedule, mapping: &[usize]) -> Schedule {
+    let mut schedule = Schedule::empty(mapping.len());
+    let mut renumbered: HashMap<usize, usize> = HashMap::new();
+    for (local, &global) in mapping.iter().enumerate() {
+        let machine = whole
+            .machine_of(global)
+            .expect("solve_auto schedules every job");
+        let next = renumbered.len();
+        schedule.assign(local, *renumbered.entry(machine).or_insert(next));
     }
-    total
+    schedule
 }
 
 /// Strictly-improving single-job relocation descent on a complete assignment: move any
@@ -249,13 +275,15 @@ struct ComponentResult {
 
 fn solve_component(
     comp: &Instance,
+    induced: Schedule,
     max_nodes: u64,
     deadline: Option<Instant>,
     nodes: &mut u64,
     visitor: Option<&mut NodeVisitor<'_>>,
 ) -> ComponentResult {
     let n = comp.len();
-    let static_lb = clique_relaxation_lb(comp);
+    let grid = PricingGrid::new(comp);
+    let static_lb = grid.total;
 
     // Branch order: earliest start first, ties longest first.
     let mut order: Vec<usize> = (0..n).collect();
@@ -264,17 +292,18 @@ fn solve_component(
         (iv.start().ticks(), -iv.end().ticks(), j)
     });
 
-    // Warm start: the better of canonical FirstFit and FirstFit in branch order,
+    // Warm start: the best of canonical FirstFit, FirstFit in branch order and the
+    // component's share of the dispatcher's schedule (ties keep the earlier candidate),
     // then relocation-polished — on components whose optimum meets the clique
     // relaxation this alone can end the search before it starts.
-    let warm = [first_fit(comp), first_fit_in_order(comp, &order)]
+    let warm = [first_fit(comp), first_fit_in_order(comp, &order), induced]
         .into_iter()
         .min_by_key(|s| s.cost(comp))
-        .expect("two warm-start candidates");
+        .expect("three warm-start candidates");
     let mut best_assignment: Vec<usize> = warm
         .assignment()
         .iter()
-        .map(|m| m.expect("first_fit schedules every job"))
+        .map(|m| m.expect("every candidate schedules every job"))
         .collect();
     let best_cost = polish(comp, &mut best_assignment);
 
@@ -282,7 +311,7 @@ fn solve_component(
         comp,
         capacity: comp.capacity(),
         order,
-        depth_events: depth_events(comp),
+        grid,
         static_lb,
         machines: Vec::new(),
         assigned: Vec::new(),
@@ -321,15 +350,126 @@ fn solve_component(
     }
 }
 
-/// `(+1 at start, -1 at end)` events of every job in the component, sorted.
-fn depth_events(comp: &Instance) -> Vec<(i64, i32)> {
-    let mut events = Vec::with_capacity(2 * comp.len());
-    for iv in comp.jobs() {
-        events.push((iv.start().ticks(), 1));
-        events.push((iv.end().ticks(), -1));
+/// The pricing bound `∫ max(busy(t), ⌈depth(t)/g⌉) dt` of one component, kept current
+/// as jobs are placed and undone.
+///
+/// The time line is cut into *elementary segments* between consecutive distinct job
+/// endpoints; every job covers a contiguous range of them, and on each segment both the
+/// depth and every machine's coverage are constant, so the integral is the finite sum
+/// `Σ len·max(busy, need)`.
+///
+/// Jobs arrive in branch order, with non-decreasing starts.  A machine's jobs therefore
+/// all start at or before the new job's first segment, and its union over that segment
+/// onwards is one contiguous run ending at its *reach* — the furthest segment boundary
+/// any of its jobs ends at.  Placing a job thus newly covers exactly the segments from
+/// `max(first, reach)` up to the job's end, and one index per machine stands in for a
+/// per-segment cover row.
+struct PricingGrid {
+    /// Per segment, its length.
+    len: Vec<i64>,
+    /// Per segment, `⌈depth/g⌉`: the machines the jobs covering it force.
+    need: Vec<u32>,
+    /// Per segment, how many open machines' job unions cover it.
+    busy: Vec<u32>,
+    /// Per component job, its segments `first..end`.
+    segments: Vec<(usize, usize)>,
+    /// Per open machine, the segment boundary its job union reaches.
+    reach: Vec<usize>,
+    /// `Σ len·max(busy, need)`: the bound at the current node.
+    total: i64,
+}
+
+impl PricingGrid {
+    /// The grid of `comp` with no machine open; its total is the static clique
+    /// relaxation `∫ ⌈depth(t)/g⌉ dt`.
+    fn new(comp: &Instance) -> Self {
+        let mut points: Vec<i64> = comp
+            .jobs()
+            .iter()
+            .flat_map(|iv| [iv.start().ticks(), iv.end().ticks()])
+            .collect();
+        points.sort_unstable();
+        points.dedup();
+        let index = |x: i64| points.binary_search(&x).expect("every endpoint is a point");
+        let segments: Vec<(usize, usize)> = comp
+            .jobs()
+            .iter()
+            .map(|iv| (index(iv.start().ticks()), index(iv.end().ticks())))
+            .collect();
+        let count = points.len().saturating_sub(1);
+        let mut depth = vec![0i64; count + 1];
+        for &(first, end) in &segments {
+            depth[first] += 1;
+            depth[end] -= 1;
+        }
+        let len: Vec<i64> = points.windows(2).map(|w| w[1] - w[0]).collect();
+        let g = comp.capacity() as i64;
+        let mut running = 0i64;
+        let need: Vec<u32> = depth[..count]
+            .iter()
+            .map(|&delta| {
+                running += delta;
+                ((running + g - 1) / g) as u32
+            })
+            .collect();
+        let total = len.iter().zip(&need).map(|(&l, &k)| l * i64::from(k)).sum();
+        PricingGrid {
+            len,
+            need,
+            busy: vec![0; count],
+            segments,
+            reach: Vec::new(),
+            total,
+        }
     }
-    events.sort_unstable();
-    events
+
+    /// Open a machine with nothing on it.
+    fn open(&mut self) {
+        self.reach.push(0);
+    }
+
+    /// Close the most recently opened machine, whose jobs have all been undone.
+    fn close(&mut self) {
+        debug_assert_eq!(self.reach.last(), Some(&0));
+        self.reach.pop();
+    }
+
+    /// The total once `job` is placed on a machine that reaches `reach`, without
+    /// placing it: pruned children never touch the grid.
+    fn priced(&self, job: usize, reach: usize) -> i64 {
+        let (first, end) = self.segments[job];
+        let added: i64 = (first.max(reach)..end)
+            .filter(|&s| self.busy[s] >= self.need[s])
+            .map(|s| self.len[s])
+            .sum();
+        self.total + added
+    }
+
+    /// Place `job` on `machine`.
+    fn place(&mut self, machine: usize, job: usize) {
+        let (first, end) = self.segments[job];
+        let reach = self.reach[machine];
+        for s in first.max(reach)..end {
+            self.busy[s] += 1;
+            if self.busy[s] > self.need[s] {
+                self.total += self.len[s];
+            }
+        }
+        self.reach[machine] = reach.max(end);
+    }
+
+    /// Undo the latest [`Self::place`] of `job` on `machine`, whose reach was `reach`
+    /// before it.
+    fn undo(&mut self, machine: usize, job: usize, reach: usize) {
+        let (first, end) = self.segments[job];
+        for s in first.max(reach)..end {
+            if self.busy[s] > self.need[s] {
+                self.total -= self.len[s];
+            }
+            self.busy[s] -= 1;
+        }
+        self.reach[machine] = reach;
+    }
 }
 
 /// Depth-first search state for one component.
@@ -338,11 +478,12 @@ struct Search<'a, 'v> {
     capacity: usize,
     /// Jobs in branch order (non-decreasing starts).
     order: Vec<usize>,
-    depth_events: Vec<(i64, i32)>,
+    /// The pricing bound of the current node.
+    grid: PricingGrid,
     static_lb: i64,
     machines: Vec<MachineState>,
     /// Per machine, its assigned intervals in insertion (hence start) order — the
-    /// ground truth for dominance checks and for the pricing bound's union segments.
+    /// ground truth for dominance checks.
     assigned: Vec<Vec<Interval>>,
     /// `current[job] = machine`, `usize::MAX` while unassigned.
     current: Vec<usize>,
@@ -375,6 +516,7 @@ impl Search<'_, '_> {
                     committed: Duration::new(committed),
                     lower: Duration::new(node_lb),
                     unassigned: &self.order[depth..],
+                    machines: &self.assigned,
                 },
             );
             self.visitor = Some(visitor);
@@ -422,9 +564,20 @@ impl Search<'_, '_> {
             if child_committed.max(self.static_lb) >= self.best_cost {
                 continue;
             }
+            let reach = if machine == usize::MAX {
+                0
+            } else {
+                self.grid.reach[machine]
+            };
+            let child_lb = self.grid.priced(job, reach);
+            debug_assert!(child_lb >= child_committed && child_lb >= self.static_lb);
+            if child_lb >= self.best_cost {
+                continue;
+            }
             let (machine, opened) = if machine == usize::MAX {
                 self.machines.push(MachineState::new(self.capacity));
                 self.assigned.push(Vec::new());
+                self.grid.open();
                 (self.machines.len() - 1, true)
             } else {
                 (machine, false)
@@ -433,57 +586,21 @@ impl Search<'_, '_> {
             debug_assert_eq!(applied.ticks(), delta);
             self.assigned[machine].push(iv);
             self.current[job] = machine;
+            self.grid.place(machine, job);
+            debug_assert_eq!(self.grid.total, child_lb);
 
-            let child_lb = self.pricing_lb();
-            debug_assert!(child_lb >= child_committed && child_lb >= self.static_lb);
-            if child_lb < self.best_cost {
-                self.dfs(depth + 1, child_committed, child_lb);
-            }
+            self.dfs(depth + 1, child_committed, child_lb);
 
+            self.grid.undo(machine, job, reach);
             self.current[job] = usize::MAX;
             self.assigned[machine].pop();
             self.machines[machine].remove(iv, thread);
             if opened {
                 self.machines.pop();
                 self.assigned.pop();
+                self.grid.close();
             }
         }
-    }
-
-    /// The incremental pricing bound `∫ max(busy(t), ⌈depth(t)/g⌉) dt`: open machines
-    /// stay busy wherever their job unions already cover, and all jobs (assigned or
-    /// not) still need `⌈depth/g⌉` machines pointwise.
-    fn pricing_lb(&self) -> i64 {
-        let mut events: Vec<(i64, i32, i32)> =
-            self.depth_events.iter().map(|&(x, d)| (x, d, 0)).collect();
-        for list in &self.assigned {
-            for segment in union(list) {
-                events.push((segment.start().ticks(), 0, 1));
-                events.push((segment.end().ticks(), 0, -1));
-            }
-        }
-        events.sort_unstable();
-        let g = self.capacity as i64;
-        let (mut depth, mut busy) = (0i64, 0i64);
-        let mut prev = 0i64;
-        let mut total = 0i64;
-        let mut i = 0;
-        let mut started = false;
-        while i < events.len() {
-            let x = events[i].0;
-            if started && x > prev {
-                let need = (depth + g - 1) / g;
-                total += (x - prev) * need.max(busy);
-            }
-            while i < events.len() && events[i].0 == x {
-                depth += i64::from(events[i].1);
-                busy += i64::from(events[i].2);
-                i += 1;
-            }
-            prev = x;
-            started = true;
-        }
-        total
     }
 }
 
@@ -491,7 +608,8 @@ impl Search<'_, '_> {
 mod tests {
     use super::*;
     use crate::{exact_minbusy_cost, MAX_EXACT_JOBS};
-    use busytime_workload::{general_instance, seeded_rng};
+    use busytime::minbusy::MinBusyAlgorithm;
+    use busytime_workload::{general_instance, proper_instance, seeded_rng};
     use proptest::prelude::*;
 
     fn solved(instance: &Instance) -> (Schedule, Duration, u64) {
@@ -505,6 +623,107 @@ mod tests {
                 panic!("default budget exhausted on a test instance ({lower} ≤ OPT ≤ {upper})")
             }
         }
+    }
+
+    /// The pricing bound from scratch: `∫ max(busy(t), ⌈depth(t)/g⌉) dt` with `busy(t)`
+    /// the number of `machines` whose job union covers `t`.  The reference the
+    /// incremental [`PricingGrid`] must reproduce at every node.
+    fn reference_pricing_lb(comp: &Instance, machines: &[Vec<Interval>]) -> i64 {
+        let mut events: Vec<(i64, i64, i64)> = Vec::new();
+        for iv in comp.jobs() {
+            events.push((iv.start().ticks(), 1, 0));
+            events.push((iv.end().ticks(), -1, 0));
+        }
+        for list in machines {
+            for segment in union(list) {
+                events.push((segment.start().ticks(), 0, 1));
+                events.push((segment.end().ticks(), 0, -1));
+            }
+        }
+        events.sort_unstable();
+        let g = comp.capacity() as i64;
+        let (mut depth, mut busy, mut total) = (0i64, 0i64, 0i64);
+        let mut prev: Option<i64> = None;
+        for (x, d, b) in events {
+            if let Some(p) = prev {
+                total += (x - p) * ((depth + g - 1) / g).max(busy);
+            }
+            depth += d;
+            busy += b;
+            prev = Some(x);
+        }
+        total
+    }
+
+    /// `(lower, upper, nodes)` of a run, optimal or not.
+    fn bracket(instance: &Instance, max_nodes: u64) -> (i64, i64, u64) {
+        let budget = ExactBudget {
+            max_nodes,
+            max_millis: None,
+        };
+        match branch_and_bound(instance, &budget) {
+            ExactOutcome::Optimal { cost, nodes, .. } => (cost.ticks(), cost.ticks(), nodes),
+            ExactOutcome::Exhausted {
+                lower,
+                upper,
+                nodes,
+                ..
+            } => (lower.ticks(), upper.ticks(), nodes),
+        }
+    }
+
+    #[test]
+    fn brackets_match_the_from_scratch_pricing_search() {
+        // Single-component instances, pinned to the brackets and node counts of the
+        // search that priced every child from scratch: the incremental grid must
+        // expand exactly the same nodes.
+        let exhausted: [(u64, (i64, i64, u64)); 8] = [
+            (1, (212, 219, 2000)),
+            (3, (257, 262, 2000)),
+            (5, (265, 275, 2000)),
+            (7, (311, 325, 2000)),
+            (8, (280, 303, 2000)),
+            (9, (300, 330, 2000)),
+            (10, (279, 312, 2000)),
+            (11, (298, 321, 2000)),
+        ];
+        for (seed, pinned) in exhausted {
+            let inst = general_instance(&mut seeded_rng(seed), 30 + 2 * seed as usize, 3, 120, 30);
+            assert_eq!(inst.connected_components().len(), 1, "seed {seed}");
+            assert_eq!(bracket(&inst, 2000), pinned, "seed {seed}");
+        }
+        let solved: [(u64, (i64, i64, u64)); 4] = [
+            (25, (231, 231, 14814)),
+            (27, (235, 235, 1844)),
+            (28, (232, 232, 24285)),
+            (29, (219, 219, 3673)),
+        ];
+        for (seed, pinned) in solved {
+            let inst = general_instance(&mut seeded_rng(seed), 24 + seed as usize % 5, 2, 100, 30);
+            assert_eq!(inst.connected_components().len(), 1, "seed {seed}");
+            assert_eq!(bracket(&inst, 200_000), pinned, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn clique_upper_bound_stays_within_clique_set_cover() {
+        // A tenant's first 30 arrivals from a seeded wire workload: one clique, where
+        // the dispatcher's clique set cover (407) beats both FirstFit warm starts and
+        // 2000 nodes used to stop at 425.
+        let endpoints: [i64; 60] = [
+            2390, 2428, 2390, 2431, 2392, 2452, 2398, 2426, 2398, 2447, 2399, 2433, 2399, 2442,
+            2399, 2445, 2402, 2424, 2404, 2454, 2405, 2466, 2407, 2442, 2408, 2443, 2408, 2470,
+            2409, 2472, 2410, 2432, 2410, 2446, 2411, 2438, 2411, 2451, 2413, 2443, 2413, 2472,
+            2414, 2442, 2414, 2447, 2415, 2478, 2417, 2486, 2418, 2428, 2418, 2467, 2419, 2482,
+            2421, 2453, 2422, 2439,
+        ];
+        let jobs: Vec<(i64, i64)> = endpoints.chunks(2).map(|p| (p[0], p[1])).collect();
+        let inst = Instance::from_ticks(&jobs, 4);
+        let (schedule, algorithm) = solve_auto(&inst);
+        assert_eq!(algorithm, MinBusyAlgorithm::CliqueSetCover);
+        assert_eq!(schedule.cost(&inst), Duration::new(407));
+        let (lower, upper, _) = bracket(&inst, 2000);
+        assert!(lower <= upper && upper <= 407, "bracket [{lower}, {upper}]");
     }
 
     #[test]
@@ -601,6 +820,55 @@ mod tests {
             } else {
                 prop_assert!(false, "default budget exhausted on a tiny instance");
             }
+        }
+
+        /// The incremental pricing grid equals the from-scratch bound at every explored
+        /// node — including nodes reached by backtracking across opened and closed
+        /// machines (the root's bound is the bare clique relaxation).
+        #[test]
+        fn grid_bound_matches_the_reference_at_every_node(seed in 0u64..5_000, n in 2usize..16, g in 1usize..4) {
+            let mut rng = seeded_rng(seed);
+            let inst = general_instance(&mut rng, n, g, 100, 25);
+            let mut checked = 0u64;
+            let mut visitor = |comp: &Instance, view: &NodeView<'_>| {
+                assert_eq!(view.lower.ticks(), reference_pricing_lb(comp, view.machines));
+                checked += 1;
+            };
+            let outcome =
+                branch_and_bound_with_visitor(&inst, &ExactBudget::default(), Some(&mut visitor));
+            let nodes = match outcome {
+                ExactOutcome::Optimal { nodes, .. } | ExactOutcome::Exhausted { nodes, .. } => nodes,
+            };
+            prop_assert_eq!(checked, nodes);
+        }
+
+        /// On instances of several components the upper bound never exceeds the
+        /// default dispatcher's cost (BestCut on these proper instances) nor FirstFit
+        /// over the whole instance, however small the budget.
+        #[test]
+        fn upper_bound_never_exceeds_the_whole_instance_heuristics(
+            seed in 0u64..5_000,
+            blocks in 2usize..5,
+            n in 4usize..12,
+            g in 2usize..5,
+            max_nodes in 0u64..50,
+        ) {
+            let mut rng = seeded_rng(seed);
+            let mut jobs: Vec<(i64, i64)> = Vec::new();
+            for block in 0..blocks as i64 {
+                let part = proper_instance(&mut rng, n, g, 20, 12);
+                jobs.extend(part.jobs().iter().map(|iv| {
+                    (iv.start().ticks() + 10_000 * block, iv.end().ticks() + 10_000 * block)
+                }));
+            }
+            let inst = Instance::from_ticks(&jobs, g);
+            prop_assert!(inst.connected_components().len() >= blocks);
+            let (lower, upper, _) = bracket(&inst, max_nodes);
+            prop_assert!(lower <= upper);
+            let auto = solve_auto(&inst).0.cost(&inst).ticks();
+            prop_assert!(upper <= auto, "upper {} > dispatcher {}", upper, auto);
+            let ff = first_fit(&inst).cost(&inst).ticks();
+            prop_assert!(upper <= ff, "upper {} > whole-instance FirstFit {}", upper, ff);
         }
 
         /// Starving the budget still yields a sound bracket: `lower ≤ OPT ≤ upper`,
