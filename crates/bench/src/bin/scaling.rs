@@ -1,6 +1,6 @@
-//! The `scaling` binary: measures the kernel-backed hot paths against their pre-kernel
-//! full-scan references across instance sizes and writes the machine-readable
-//! `BENCH_scaling.json` that tracks the workspace's performance trajectory.
+//! The `scaling` binary: the workspace's one in-tree performance harness.  It writes
+//! the machine-readable `BENCH_scaling.json` that tracks the performance trajectory,
+//! one section per layer, one row object per line.
 //!
 //! Usage:
 //!
@@ -9,62 +9,58 @@
 //!                                                     [--quick] [--check]
 //! ```
 //!
-//! Every row records one (benchmark, n) pair with the wall time of the kernel path,
-//! the pre-refactor scan path and the adaptive dispatch that picks between them.  The
-//! scan references live in the library (`first_fit_in_order_scan`,
-//! `greedy_fallback_scan`) so the comparison stays honest as both sides evolve.
-//! Quadratic baselines are *time-budgeted*: the measured time at the previous size is
-//! extrapolated quadratically, and a measurement whose prediction exceeds the budget is
-//! recorded with a `"skipped": "quadratic-baseline-timeout"` marker instead of a
-//! silently absent number.
+//! * `rows`: the kernel-backed hot paths against their pre-kernel full-scan references
+//!   (`first_fit_in_order_scan`, `greedy_fallback_scan`) and the adaptive dispatch
+//!   between them.  Quadratic baselines are *time-budgeted*: a measurement whose
+//!   quadratic extrapolation exceeds the budget is recorded with a
+//!   `"skipped": "quadratic-baseline-timeout"` marker instead of a silently absent
+//!   number.
+//! * `algorithms`: one table of (name, instance, call) entries — the MinBusy,
+//!   MaxThroughput and 2-D algorithms of experiments E1–E10 and the batch engine, each
+//!   on its own instance class, so the curves compare with the stated complexities.
+//! * `online`, `defrag`, `exact`: the online engine's event throughput, the drifted
+//!   online cost before and after compaction to a fixpoint, and both re-priced
+//!   against the branch-and-bound optimum (cross-checked by the subset DP).
+//! * `batch`, `server`, `durability`, `recovery`: `Solver::solve_batch` at several
+//!   widths, the sharded registry at several shard counts, the write-ahead log at
+//!   several group-commit batch sizes, and cold restarts against journals of several
+//!   lengths.
+//! * `server_load`, `resilience`: the loopback load generator
+//!   (`busytime_bench::loadgen`) over both framings at several pipeline depths, an
+//!   overload flood against a rate quota, and a shard killed mid-stream.
 //!
-//! The output is self-describing: a `meta` object records the thread count, available
-//! parallelism, git revision and build profile next to the rows, a `batch` section
-//! measures `Solver::solve_batch` over the work-stealing pool at several widths, and a
-//! `server` section drives a multi-tenant request stream through the sharded
-//! `busytime-server` registry at several shard counts (requests/s at 1 vs N shards).
-//! A `durability` section re-drives a stream with the write-ahead log on at several
-//! group-commit batch sizes (the logging tax vs the in-memory engine), and a
-//! `recovery` section times cold restarts against journals of several lengths, with
-//! and without a compacting snapshot.  A `server_load` section goes through the
-//! socket: the loopback load generator (`busytime_bench::loadgen`) drives a real
-//! daemon over both framings at several pipeline depths, recording throughput and
-//! p50/p99/p999 latency per cell.
-//!
-//! A `defrag` section replays a churny trace per workload family, prices the drifted
-//! online cost against the offline greedy on the surviving job set, compacts the
-//! schedule to a fixpoint with `OnlineScheduler::compact`, and prices it again —
-//! recording the online-vs-offline cost ratio before and after defragmentation.
-//!
-//! An `exact` section re-pins those claims to the *true* optimum: per workload family
-//! at n ∈ {20, 30, 40, 60}, the branch-and-bound oracle prices the instance exactly
-//! (or to a proven bracket when its budget runs out), cross-checks the subset DP
-//! wherever n permits, and records the arrival-order online cost and its
-//! compact-to-fixpoint repair as ratios to OPT.
-//!
-//! `--quick` shrinks the size grid and trial count (the CI configuration); `--check`
-//! validates the run after measuring — every adaptive-dispatch row must land within
-//! [`ADAPTIVE_PARITY_TOLERANCE`] of parity against the best of scan and kernel
-//! (medians over the trial count absorb most scheduling noise; the band absorbs the
-//! rest, and a failure reports the measured ratio), compaction must never raise any
-//! cost or break validity, and every defrag family must shrink its cost ratio — and
-//! exits non-zero otherwise.
+//! A `meta` object records the thread count, available parallelism, git revision and
+//! build profile.  `--quick` shrinks the size grids (the CI configuration); `--check`
+//! runs every gate of [`check`] after measuring and exits non-zero on any failure.
 
-use std::io::Write;
+use std::path::PathBuf;
 use std::time::Instant;
 
-use busytime::maxthroughput::{greedy_fallback, greedy_fallback_scan};
+use busytime::maxthroughput::{
+    clique_max_throughput, greedy_fallback, greedy_fallback_scan, minbusy_via_maxthroughput,
+    most_throughput_consecutive, most_throughput_consecutive_fast, one_sided_max_throughput,
+};
 use busytime::minbusy::{
-    first_fit, first_fit_in_order, first_fit_in_order_adaptive, first_fit_in_order_scan,
+    best_cut, clique_matching, clique_set_cover, find_best_consecutive, first_fit,
+    first_fit_in_order, first_fit_in_order_adaptive, first_fit_in_order_scan, greedy_pack,
+    one_sided_optimal,
 };
 use busytime::online::{OnlinePolicy, OnlineScheduler, Trace};
+use busytime::par::solve_minbusy_batch;
+use busytime::twodim::{bucket_first_fit, first_fit_2d, DEFAULT_BUCKET_BASE};
 use busytime::{
     Duration, ExactBudget, ExactOutcome, Instance, Interval, Problem, Schedule, Solver,
 };
+use busytime_bench::loadgen::{annotate_speedups, run_matrix, spawn_loopback, LoadRow};
 use busytime_exact::{bnb, exact_minbusy_cost, MAX_EXACT_JOBS};
+use busytime_server::{
+    AdmissionConfig, DurabilityConfig, Engine, ErrorCode, FaultPlan, FaultSpec, Framing,
+    RegistryConfig, Request, Response,
+};
 use busytime_workload::{
-    cloud_trace, diurnal_trace, general_instance, poisson_trace, proper_instance, seeded_rng,
-    trace_from_instance, DurationModel,
+    clique_instance, cloud_trace, diurnal_trace, figure3_instance, general_instance,
+    multi_tenant_stream, one_sided_instance, poisson_trace, proper_clique_instance,
+    proper_instance, rect_instance, seeded_rng, trace_from_instance, DurationModel,
 };
 use serde::Serialize;
 
@@ -87,6 +83,18 @@ const SKIP_TIMEOUT: &str = "quadratic-baseline-timeout";
 /// dispatch measures at or below ~0.5x — well under this gate.
 const ADAPTIVE_PARITY_TOLERANCE: f64 = 0.30;
 
+/// Machine capacity of the offline, online, server and durability workloads.
+const CAPACITY: usize = 10;
+
+/// Trials behind the batch, server, durability and wire-matrix medians.
+const TRIALS: usize = 3;
+
+/// The heavy-tailed job durations of the online, server and durability streams.
+const HEAVY_TAIL: DurationModel = DurationModel::HeavyTail { min: 1, max: 200 };
+
+/// Tenants (one connection each) in every cell of the wire load matrix.
+const LOAD_TENANTS: usize = 4;
+
 /// One measured (benchmark, n) configuration.
 #[derive(Debug, Serialize)]
 struct Row {
@@ -105,6 +113,35 @@ struct Row {
     /// Best of {scan, kernel} over adaptive — parity (1.0) or better means the
     /// cutover thresholds route this size correctly.
     adaptive_speedup: Option<f64>,
+}
+
+impl Row {
+    /// A kernel-vs-scan row without an adaptive path; a missing scan time means the
+    /// time budget vetoed it.
+    fn new(bench: String, n: usize, kernel_secs: f64, scan_secs: Option<f64>) -> Row {
+        Row {
+            bench,
+            n,
+            capacity: CAPACITY,
+            kernel_secs,
+            scan_secs,
+            skipped: scan_secs.is_none().then(|| SKIP_TIMEOUT.to_string()),
+            speedup: scan_secs.map(|scan| scan / kernel_secs),
+            adaptive_secs: None,
+            adaptive_speedup: None,
+        }
+    }
+}
+
+/// One paper algorithm timed on an instance of its own class.
+#[derive(Debug, Serialize)]
+struct AlgorithmRow {
+    bench: String,
+    /// Jobs in the measured call (summed over the instances of a batch).
+    n: usize,
+    capacity: usize,
+    /// Median wall time of one call.
+    secs: f64,
 }
 
 /// One `solve_batch` configuration.
@@ -286,11 +323,13 @@ struct ExactRow {
     moves: usize,
 }
 
-/// The self-describing output document.
+/// The self-describing output document; [`render`] writes the sections in field
+/// order.
 #[derive(Debug, Serialize)]
 struct Report {
     meta: Meta,
     rows: Vec<Row>,
+    algorithms: Vec<AlgorithmRow>,
     online: Vec<OnlineRow>,
     defrag: Vec<DefragRow>,
     exact: Vec<ExactRow>,
@@ -298,7 +337,7 @@ struct Report {
     server: Vec<ServerRow>,
     durability: Vec<DurabilityRow>,
     recovery: Vec<RecoveryRow>,
-    server_load: Vec<busytime_bench::loadgen::LoadRow>,
+    server_load: Vec<LoadRow>,
     resilience: Vec<ResilienceRow>,
 }
 
@@ -328,17 +367,73 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Median of `trials` runs keeps one-off scheduling noise out of the record.
-fn time_trials<T>(trials: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut samples: Vec<f64> = (0..trials)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
+fn meta(quick: bool) -> Meta {
+    let parallelism = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
+    Meta {
+        git_rev: git_rev(),
+        threads_default: busytime::par::default_threads(),
+        available_parallelism: parallelism,
+        parallelism,
+        profile: if cfg!(debug_assertions) {
+            "debug".to_string()
+        } else {
+            "release".to_string()
+        },
+        quick,
+        trials: trials_for(usize::MAX),
+        trials_small_n: trials_for(0),
+    }
+}
+
+/// Sub-millisecond measurements (small n) get more trials so the medians are
+/// stable enough for the parity checks; mid sizes get 7 (a 3-trial median at
+/// a few milliseconds per run still drifts past the parity band on a busy
+/// machine); only the genuinely expensive sizes drop to 3.
+fn trials_for(n: usize) -> usize {
+    if n <= 2_000 {
+        11
+    } else if n <= 10_000 {
+        7
+    } else {
+        3
+    }
+}
+
+/// The median sample, which keeps one-off scheduling noise out of the record.
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// Median wall time of `trials` runs of `f`.
+fn time_trials<T>(trials: usize, mut f: impl FnMut() -> T) -> f64 {
+    median(
+        (0..trials)
+            .map(|_| {
+                let t = Instant::now();
+                std::hint::black_box(f());
+                t.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
+}
+
+/// Median wall times of several paths measured round-robin, rotating which path
+/// runs first in each trial, so drift on a shared host and the cache state one
+/// path leaves behind fall on every path alike.
+fn time_interleaved<const K: usize>(trials: usize, paths: [&dyn Fn() -> Schedule; K]) -> [f64; K] {
+    let mut samples = [(); K].map(|_| Vec::with_capacity(trials));
+    for trial in 0..trials {
+        for k in 0..K {
+            let path = (trial + k) % K;
+            let t = Instant::now();
+            std::hint::black_box(paths[path]());
+            samples[path].push(t.elapsed().as_secs_f64());
+        }
+    }
+    samples.map(median)
 }
 
 /// Quadratic extrapolation of a baseline measurement to a larger size; `None` when no
@@ -362,83 +457,150 @@ fn cost_and_validate_scan(schedule: &Schedule, instance: &Instance) -> (i64, boo
     (cost, valid)
 }
 
-fn main() {
-    let mut output = "BENCH_scaling.json".to_string();
-    let mut quick = false;
-    let mut check = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--output" => output = it.next().expect("--output needs a path"),
-            "--quick" => quick = true,
-            "--check" => check = true,
-            "--help" | "-h" => {
-                println!("usage: scaling [--output PATH] [--quick] [--check]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+/// Compact `scheduler` to a fixpoint in passes of 64 migrations; returns the moves
+/// committed.
+fn compact_to_fixpoint(scheduler: &mut OnlineScheduler) -> usize {
+    let mut moves = 0;
+    loop {
+        let effect = scheduler.compact(64);
+        moves += effect.moves;
+        if effect.moves == 0 {
+            return moves;
         }
     }
+}
 
-    let capacity = 10usize;
-    // Sub-millisecond measurements (small n) get more trials so the medians are
-    // stable enough for the parity checks; mid sizes get 7 (a 3-trial median at
-    // a few milliseconds per run still drifts past the parity band on a busy
-    // machine); only the genuinely expensive sizes drop to 3.
-    let trials_for = |n: usize| {
-        if n <= 2_000 {
-            11
-        } else if n <= 10_000 {
-            7
-        } else {
-            3
+/// The first element of a size grid under `--quick`, the whole grid otherwise.
+fn grid<T: Copy>(quick: bool, sizes: &[T]) -> Vec<T> {
+    sizes[..if quick { 1 } else { sizes.len() }].to_vec()
+}
+
+/// A fresh scratch directory under the system temp dir, unique to this process.
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("busytime-scaling-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A journaled config that never compacts on its own, so every measurement sees
+/// the journal it wrote.
+fn wal_config(shards: usize, root: &std::path::Path, fsync_batch: usize) -> RegistryConfig {
+    let mut durability = DurabilityConfig::new(root);
+    durability.fsync_batch = fsync_batch;
+    durability.compact_threshold = u64::MAX;
+    RegistryConfig {
+        durability: Some(durability),
+        ..RegistryConfig::new(shards)
+    }
+}
+
+/// Send one request that must succeed.
+fn call_ok(engine: &Engine, request: Request) {
+    let response = engine.call(request);
+    assert!(response.is_ok(), "{response:?}");
+}
+
+/// Start a registry from `config`, open `tenants` (first-fit at [`CAPACITY`]), run
+/// `drive` against its engine, then shut the registry down.
+fn with_registry<T>(
+    config: RegistryConfig,
+    tenants: &[String],
+    drive: impl FnOnce(&Engine) -> T,
+) -> T {
+    let registry =
+        busytime_server::Registry::with_config(config).expect("the bench registry starts");
+    let engine = registry.engine();
+    for tenant in tenants {
+        call_ok(
+            &engine,
+            Request::Open {
+                tenant: tenant.clone(),
+                capacity: CAPACITY,
+                policy: Some("first-fit".to_string()),
+            },
+        );
+    }
+    let result = drive(&engine);
+    drop(engine);
+    registry.shutdown();
+    result
+}
+
+/// One interleaved multi-tenant stream over tenants `tenant-0..`, split into
+/// per-tenant request sequences outside any timed section.
+fn tenant_requests(tenants: usize, jobs: usize) -> (Vec<String>, Vec<Vec<Request>>) {
+    let stream = multi_tenant_stream(&mut seeded_rng(2012), tenants, jobs, 2.0, &HEAVY_TAIL);
+    let names: Vec<String> = (0..tenants).map(|t| format!("tenant-{t}")).collect();
+    let per_tenant = names
+        .iter()
+        .enumerate()
+        .map(|(t, name)| {
+            stream
+                .iter()
+                .filter(|(tenant, _)| *tenant == t)
+                .map(|(_, event)| Request::from_event(name, event))
+                .collect()
+        })
+        .collect();
+    (names, per_tenant)
+}
+
+/// Drive every tenant's requests from its own client thread; returns the drive's
+/// wall time.
+fn drive_tenants(engine: &Engine, per_tenant: &[Vec<Request>]) -> f64 {
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        for requests in per_tenant {
+            let engine = engine.clone();
+            scope.spawn(move || {
+                for request in requests {
+                    call_ok(&engine, request.clone());
+                }
+            });
         }
-    };
+    });
+    started.elapsed().as_secs_f64()
+}
+
+/// Kernel vs scan vs adaptive on the placement and cost hot paths.
+///
+/// Two proper-instance shapes stress opposite regimes.  The *sparse* staircase has
+/// bounded overlap, so a few machines absorb everything and the pre-kernel cost was
+/// the per-thread conflict scans (quadratic in jobs per thread).  The *dense*
+/// shape's depth grows with n, so thousands of machines open and the cost is the
+/// per-job machine scan; there the placement index wins on `O(log m)`
+/// saturated-stretch skipping rather than per-probe asymptotics.
+fn kernel_rows(quick: bool) -> Vec<Row> {
     let sizes: &[usize] = if quick {
         &[100, 1_000, 4_000]
     } else {
         &[100, 1_000, 10_000, 50_000]
     };
-    let mut rows: Vec<Row> = Vec::new();
-
-    // Two proper-instance shapes stress opposite regimes.  The *sparse* staircase has
-    // bounded overlap, so a few machines absorb everything and the pre-kernel cost was
-    // the per-thread conflict scans (quadratic in jobs per thread).  The *dense*
-    // shape's depth grows with n, so thousands of machines open and the cost is the
-    // per-job machine scan; there the placement index wins on `O(log m)`
-    // saturated-stretch skipping rather than per-probe asymptotics.
+    let mut rows = Vec::new();
     for (shape, max_len, max_gap) in [("sparse", 8i64, 10i64), ("dense", 40, 8)] {
         // (n, secs) of the last greedy scan actually run, per shape, for the
         // quadratic time-budget prediction.
         let mut last_greedy_scan: Option<(usize, f64)> = None;
         for &n in sizes {
-            let mut rng = seeded_rng(2012);
-            let instance = proper_instance(&mut rng, n, capacity, max_len, max_gap);
+            let instance = proper_instance(&mut seeded_rng(2012), n, CAPACITY, max_len, max_gap);
             let trials = trials_for(n);
             let name = |bench: &str| format!("{bench}/proper_{shape}");
             let first_fit_row = |bench: &str, order: &[usize]| {
-                // One median-of-`trials` measurement per path, recorded as-is.  The
-                // old retry-until-parity loop hid the noise floor by keeping only the
-                // best attempt; the honest median goes in the record and the `--check`
-                // gate absorbs the residual jitter with ADAPTIVE_PARITY_TOLERANCE.
-                let kernel = time_trials(trials, || first_fit_in_order(&instance, order));
-                let scan = time_trials(trials, || first_fit_in_order_scan(&instance, order));
-                let adaptive =
-                    time_trials(trials, || first_fit_in_order_adaptive(&instance, order));
-                let ratio = scan.min(kernel) / adaptive;
+                // One median-of-`trials` measurement per path, recorded as-is; the
+                // `--check` gate absorbs the residual jitter with
+                // ADAPTIVE_PARITY_TOLERANCE.
+                let [kernel, scan, adaptive] = time_interleaved(
+                    trials,
+                    [
+                        &|| first_fit_in_order(&instance, order),
+                        &|| first_fit_in_order_scan(&instance, order),
+                        &|| first_fit_in_order_adaptive(&instance, order),
+                    ],
+                );
                 Row {
-                    bench: name(bench),
-                    n,
-                    capacity,
-                    kernel_secs: kernel,
-                    scan_secs: Some(scan),
-                    skipped: None,
-                    speedup: Some(scan / kernel),
                     adaptive_secs: Some(adaptive),
-                    adaptive_speedup: Some(ratio),
+                    adaptive_speedup: Some(scan.min(kernel) / adaptive),
+                    ..Row::new(name(bench), n, kernel, Some(scan))
                 }
             };
 
@@ -462,17 +624,12 @@ fn main() {
                 schedule.validate(&instance).is_ok() && schedule.cost(&instance).ticks() > 0
             });
             let scan = time_trials(trials, || cost_and_validate_scan(&schedule, &instance));
-            rows.push(Row {
-                bench: name("schedule_cost_validate"),
+            rows.push(Row::new(
+                name("schedule_cost_validate"),
                 n,
-                capacity,
-                kernel_secs: kernel,
-                scan_secs: Some(scan),
-                skipped: None,
-                speedup: Some(scan / kernel),
-                adaptive_secs: None,
-                adaptive_speedup: None,
-            });
+                kernel,
+                Some(scan),
+            ));
 
             // Best-fit greedy placement; the scan baseline re-unions whole machines
             // per probe, so it runs under a time budget — the measured time at the
@@ -481,108 +638,246 @@ fn main() {
             let budget = Duration::new(instance.total_len().ticks());
             let kernel = time_trials(trials, || greedy_fallback(&instance, budget));
             let prediction = predict_quadratic(last_greedy_scan, n);
-            let (scan, skipped) = if prediction.is_none_or(|p| p <= SCAN_BUDGET_SECS) {
+            let scan = prediction.is_none_or(|p| p <= SCAN_BUDGET_SECS).then(|| {
                 let secs = time_trials(trials, || greedy_fallback_scan(&instance, budget));
                 last_greedy_scan = Some((n, secs));
-                (Some(secs), None)
-            } else {
-                (None, Some(SKIP_TIMEOUT.to_string()))
-            };
-            rows.push(Row {
-                bench: name("greedy_best_fit_placement"),
-                n,
-                capacity,
-                kernel_secs: kernel,
-                scan_secs: scan,
-                skipped,
-                speedup: scan.map(|s| s / kernel),
-                adaptive_secs: None,
-                adaptive_speedup: None,
+                secs
             });
+            rows.push(Row::new(name("greedy_best_fit_placement"), n, kernel, scan));
         }
     }
+    rows
+}
 
-    // The online event engine: a mixed arrival/departure trace per size (2 events per
-    // job — the full grid tops out at a 100k-event trace) replayed under every policy,
-    // recording events/sec, plus an arrivals-only replay priced against the offline
-    // FirstFit on the same job set (the online-vs-offline cost ratio).
-    let mut online: Vec<OnlineRow> = Vec::new();
-    let heavy_tail = DurationModel::HeavyTail { min: 1, max: 200 };
+/// One entry of the `algorithms` table: a named algorithm call that owns the
+/// instance it runs on.
+struct AlgorithmCase {
+    bench: String,
+    n: usize,
+    capacity: usize,
+    run: Box<dyn Fn()>,
+}
+
+fn case<T>(
+    bench: impl Into<String>,
+    n: usize,
+    capacity: usize,
+    run: impl Fn() -> T + 'static,
+) -> AlgorithmCase {
+    AlgorithmCase {
+        bench: bench.into(),
+        n,
+        capacity,
+        run: Box::new(move || {
+            std::hint::black_box(run());
+        }),
+    }
+}
+
+/// The per-algorithm table: every Section 3 MinBusy algorithm, the MaxThroughput
+/// algorithms, the 2-D FirstFit variants and the batch engine, each on its own
+/// instance class at a size grid that shows its running-time shape (`O(n·g)` for
+/// the proper-clique DP, `O(n log n)` grouping rules, a super-linear matching, a
+/// set-cover reduction that blows up with `g`, …).  `--quick` keeps the first size
+/// of every grid.
+fn algorithm_cases(quick: bool) -> Vec<AlgorithmCase> {
+    let rng = || seeded_rng(2012);
+    let half = |inst: &Instance| Duration::new(inst.total_len().ticks() / 2);
+    // Every instance is generated in the algorithm's own class, so an `Err` is a
+    // bug, not a measurement.
+    let mut cases = Vec::new();
+    for n in grid(quick, &[20, 60, 120]) {
+        let inst = clique_instance(&mut rng(), n, 2, 1_000);
+        cases.push(case("e1_clique_matching", n, 2, move || {
+            clique_matching(&inst).unwrap()
+        }));
+    }
+    for g in grid(quick, &[2, 3, 4]) {
+        let inst = clique_instance(&mut rng(), 16, g, 1_000);
+        cases.push(case("e2_clique_set_cover", 16, g, move || {
+            clique_set_cover(&inst).unwrap()
+        }));
+    }
+    for n in grid(quick, &[1_000, 10_000, 50_000]) {
+        let inst = proper_instance(&mut rng(), n, 5, 50, 10);
+        cases.push(case("e3_best_cut", n, 5, move || best_cut(&inst).unwrap()));
+    }
+    for (n, g) in grid(
+        quick,
+        &[(1_000, 5), (10_000, 5), (10_000, 50), (100_000, 5)],
+    ) {
+        let inst = proper_clique_instance(&mut rng(), n, g, 4 * n as i64);
+        cases.push(case("e4_proper_clique_dp", n, g, move || {
+            find_best_consecutive(&inst).unwrap()
+        }));
+    }
+    for n in grid(quick, &[100, 400, 1_600]) {
+        let inst = rect_instance(&mut rng(), n, 4, 500, 4, 4.0, 4.0);
+        cases.push(case("e5_first_fit_2d/random", n, 4, move || {
+            first_fit_2d(&inst)
+        }));
+    }
+    // The Figure 3 adversarial family.
+    for g in grid(quick, &[8, 16]) {
+        let inst = figure3_instance(g, 2, 32);
+        let n = inst.len();
+        cases.push(case("e5_first_fit_2d/figure3", n, g, move || {
+            first_fit_2d(&inst)
+        }));
+    }
+    for gamma in grid(quick, &[4.0, 64.0]) {
+        let inst = rect_instance(&mut rng(), 800, 4, 2_000, 2, gamma, gamma);
+        let name = format!("e6_bucket_first_fit/gamma{gamma}");
+        cases.push(case(name, 800, 4, move || {
+            bucket_first_fit(&inst, DEFAULT_BUCKET_BASE)
+        }));
+    }
+    for n in grid(quick, &[50, 200, 800]) {
+        let inst = clique_instance(&mut rng(), n, 4, 1_000);
+        let budget = half(&inst);
+        cases.push(case("e7_clique_throughput", n, 4, move || {
+            clique_max_throughput(&inst, budget).unwrap()
+        }));
+    }
+    // The throughput DP: the paper-faithful `O(n³g)` table against the `O(n²g)`
+    // rewrite as an ablation.  The table's grid stops at n = 160 because a single
+    // call at n = 400 already takes seconds.
+    for n in grid(quick, &[40, 80, 160]) {
+        let inst = proper_clique_instance(&mut rng(), n, 4, 4 * n as i64);
+        let budget = half(&inst);
+        cases.push(case("e8_throughput_dp/paper", n, 4, move || {
+            most_throughput_consecutive(&inst, budget).unwrap()
+        }));
+    }
+    for n in grid(quick, &[40, 80, 160, 400]) {
+        let inst = proper_clique_instance(&mut rng(), n, 4, 4 * n as i64);
+        let budget = half(&inst);
+        cases.push(case("e8_throughput_dp/fast", n, 4, move || {
+            most_throughput_consecutive_fast(&inst, budget).unwrap()
+        }));
+    }
+    let small = general_instance(&mut rng(), 14, 3, 80, 20);
+    let exact = small.clone();
+    cases.push(case("e9_greedy_pack", 14, 3, move || greedy_pack(&small)));
+    cases.push(case("e9_exact_subset_dp", 14, 3, move || {
+        exact_minbusy_cost(&exact)
+    }));
+    for n in grid(quick, &[60, 150]) {
+        let inst = proper_clique_instance(&mut rng(), n, 3, 4 * n as i64);
+        cases.push(case("e9_minbusy_via_maxthroughput", n, 3, move || {
+            minbusy_via_maxthroughput(&inst, most_throughput_consecutive_fast).unwrap()
+        }));
+    }
+    for n in grid(quick, &[1_000, 10_000, 100_000]) {
+        let inst = one_sided_instance(&mut rng(), n, 8, 10_000);
+        cases.push(case("e10_one_sided", n, 8, move || {
+            one_sided_optimal(&inst).unwrap()
+        }));
+    }
+    for n in grid(quick, &[1_000, 20_000]) {
+        let inst = one_sided_instance(&mut rng(), n, 8, 10_000);
+        let budget = half(&inst);
+        cases.push(case("e10_one_sided_throughput", n, 8, move || {
+            one_sided_max_throughput(&inst, budget).unwrap()
+        }));
+    }
+    // The batch engine over 64 large proper cliques (the default policy routes each
+    // one to the exact DP).
+    for jobs in grid(quick, &[250, 2_000]) {
+        let mut rng = rng();
+        let batch: Vec<Instance> = (0..64)
+            .map(|_| proper_clique_instance(&mut rng, jobs, 8, 4 * jobs as i64))
+            .collect();
+        cases.push(case("solve_minbusy_batch/64", 64 * jobs, 8, move || {
+            solve_minbusy_batch(&batch)
+        }));
+    }
+    cases
+}
+
+fn algorithm_rows(quick: bool) -> Vec<AlgorithmRow> {
+    algorithm_cases(quick)
+        .into_iter()
+        .map(|case| AlgorithmRow {
+            secs: time_trials(trials_for(case.n), &case.run),
+            bench: case.bench,
+            n: case.n,
+            capacity: case.capacity,
+        })
+        .collect()
+}
+
+/// The online event engine: a mixed arrival/departure trace per size (2 events per
+/// job — the full grid tops out at a 100k-event trace) replayed under every policy,
+/// recording events/sec, plus an arrivals-only replay priced against the offline
+/// FirstFit on the same job set (the online-vs-offline cost ratio).
+fn online_rows(quick: bool) -> Vec<OnlineRow> {
+    let sizes: &[usize] = if quick {
+        &[100, 1_000, 4_000]
+    } else {
+        &[100, 1_000, 10_000, 50_000]
+    };
+    let mut online = Vec::new();
     for &n in sizes {
         let trials = trials_for(n);
-        let trace = poisson_trace(&mut seeded_rng(2012), n, capacity, 3.0, &heavy_tail);
-        for &policy in OnlinePolicy::all() {
-            let secs = time_trials(trials, || {
-                OnlineScheduler::run(&trace, policy).expect("generated traces are well-formed")
-            });
-            let run =
-                OnlineScheduler::run(&trace, policy).expect("generated traces are well-formed");
+        let trace = poisson_trace(&mut seeded_rng(2012), n, CAPACITY, 3.0, &HEAVY_TAIL);
+        // Arrivals-only: the same dense proper shape the offline rows measure, placed
+        // online in arrival order vs offline FirstFit in its canonical length order.
+        let instance = proper_instance(&mut seeded_rng(2012), n, CAPACITY, 40, 8);
+        let arrivals = trace_from_instance(&instance);
+        let offline = first_fit(&instance).cost(&instance).ticks();
+        let runs = OnlinePolicy::all()
+            .iter()
+            .map(|&policy| ("online_mixed/poisson_heavy_tail", policy, &trace, None))
+            .chain([(
+                "online_arrivals/proper_dense",
+                OnlinePolicy::FirstFit,
+                &arrivals,
+                Some(offline),
+            )]);
+        for (bench, policy, trace, offline_cost) in runs {
+            let replay =
+                || OnlineScheduler::run(trace, policy).expect("generated traces are well-formed");
+            let secs = time_trials(trials, replay);
+            let run = replay();
             online.push(OnlineRow {
-                bench: "online_mixed/poisson_heavy_tail".to_string(),
+                bench: bench.to_string(),
                 policy: policy.name().to_string(),
                 jobs: n,
                 events: trace.len(),
-                capacity,
+                capacity: CAPACITY,
                 secs,
                 events_per_sec: trace.len() as f64 / secs,
                 peak_cost: run.peak_cost().ticks(),
                 final_cost: run.final_cost().ticks(),
-                offline_cost: None,
-                cost_ratio: None,
+                offline_cost,
+                cost_ratio: offline_cost
+                    .map(|offline| run.final_cost().ticks() as f64 / offline.max(1) as f64),
             });
         }
-
-        // Arrivals-only: the same dense proper shape the offline rows measure, placed
-        // online in arrival order vs offline FirstFit in its canonical length order.
-        let instance = proper_instance(&mut seeded_rng(2012), n, capacity, 40, 8);
-        let arrivals = trace_from_instance(&instance);
-        let secs = time_trials(trials, || {
-            OnlineScheduler::run(&arrivals, OnlinePolicy::FirstFit)
-                .expect("instance replays are well-formed")
-        });
-        let run = OnlineScheduler::run(&arrivals, OnlinePolicy::FirstFit)
-            .expect("instance replays are well-formed");
-        let offline = first_fit(&instance).cost(&instance).ticks();
-        online.push(OnlineRow {
-            bench: "online_arrivals/proper_dense".to_string(),
-            policy: OnlinePolicy::FirstFit.name().to_string(),
-            jobs: n,
-            events: arrivals.len(),
-            capacity,
-            secs,
-            events_per_sec: arrivals.len() as f64 / secs,
-            peak_cost: run.peak_cost().ticks(),
-            final_cost: run.final_cost().ticks(),
-            offline_cost: Some(offline),
-            cost_ratio: Some(run.final_cost().ticks() as f64 / offline.max(1) as f64),
-        });
     }
+    online
+}
 
-    // Background defragmentation: replay two thirds of a churny trace (every family
-    // interleaves departures with arrivals, so the cut point leaves a fragmented live
-    // set), price the drifted online cost against the offline FirstFit on the
-    // survivors, then compact to a fixpoint and price again.  `g = 1` is pointless
-    // here — a strictly improving migration needs co-coverage on the target machine —
-    // so the families all run at the shared `capacity`.
-    let defrag_jobs = if quick { 1_500 } else { 6_000 };
-    let mut defrag: Vec<DefragRow> = Vec::new();
-    let defrag_families: Vec<(&str, Trace)> = vec![
+/// Background defragmentation: replay most of a churny trace (every family
+/// interleaves departures with arrivals, so each cut point leaves a fragmented live
+/// set), price the drifted online cost against the offline FirstFit on the
+/// survivors, then compact to a fixpoint and price again.  `g = 1` is pointless
+/// here — a strictly improving migration needs co-coverage on the target machine —
+/// so the families all run at the shared [`CAPACITY`].
+fn defrag_rows(quick: bool) -> Vec<DefragRow> {
+    let jobs = if quick { 1_500 } else { 6_000 };
+    let families: Vec<(&str, Trace)> = vec![
         (
             "poisson_heavy_tail",
-            poisson_trace(
-                &mut seeded_rng(2012),
-                defrag_jobs,
-                capacity,
-                3.0,
-                &heavy_tail,
-            ),
+            poisson_trace(&mut seeded_rng(2012), jobs, CAPACITY, 3.0, &HEAVY_TAIL),
         ),
         (
             "poisson_uniform",
             poisson_trace(
                 &mut seeded_rng(2013),
-                defrag_jobs,
-                capacity,
+                jobs,
+                CAPACITY,
                 4.0,
                 &DurationModel::Uniform { min: 5, max: 120 },
             ),
@@ -591,8 +886,8 @@ fn main() {
             "diurnal_bimodal",
             diurnal_trace(
                 &mut seeded_rng(2014),
-                defrag_jobs,
-                capacity,
+                jobs,
+                CAPACITY,
                 200,
                 1.0,
                 16.0,
@@ -608,8 +903,9 @@ fn main() {
     // every prefix has absorbed plenty of departures (the drift compaction exists
     // to repair); several cuts per row because any single one can land right after
     // a burst packed the live set densely, leaving no improving move to find.
-    let defrag_cuts: &[usize] = &[50, 60, 70, 80, 90];
-    for (family, trace) in &defrag_families {
+    let cuts: &[usize] = &[50, 60, 70, 80, 90];
+    let mut defrag = Vec::new();
+    for (family, trace) in &families {
         for &policy in OnlinePolicy::all() {
             let mut live_jobs = 0usize;
             let mut cost_before = 0i64;
@@ -618,10 +914,10 @@ fn main() {
             let mut moves = 0usize;
             let mut compact_secs = 0.0f64;
             let mut valid = true;
-            for &percent in defrag_cuts {
+            for &percent in cuts {
                 let prefix = trace.events.len() * percent / 100;
                 let mut scheduler =
-                    OnlineScheduler::new(capacity, policy).expect("capacity is positive");
+                    OnlineScheduler::new(CAPACITY, policy).expect("capacity is positive");
                 for event in &trace.events[..prefix] {
                     scheduler
                         .apply(event)
@@ -629,33 +925,24 @@ fn main() {
                 }
                 let live: Vec<Interval> = scheduler.live_jobs().map(|(_, iv, _)| iv).collect();
                 live_jobs += live.len();
-                let offline_instance = Instance::new(live, capacity).expect("capacity is positive");
+                let offline_instance = Instance::new(live, CAPACITY).expect("capacity is positive");
                 offline_cost += first_fit(&offline_instance).cost(&offline_instance).ticks();
                 cost_before += scheduler.cost().ticks();
 
                 let started = Instant::now();
-                loop {
-                    let effect = scheduler.compact(64);
-                    moves += effect.moves;
-                    if effect.moves == 0 {
-                        break;
-                    }
-                }
+                moves += compact_to_fixpoint(&mut scheduler);
                 compact_secs += started.elapsed().as_secs_f64();
                 cost_after += scheduler.cost().ticks();
 
                 // Re-validate the compacted placements as an offline schedule over
                 // the live set: every machine's group must respect the capacity.
-                let live_sorted: Vec<(Interval, usize)> = {
-                    let mut pairs: Vec<(Interval, usize)> = scheduler
-                        .live_jobs()
-                        .map(|(_, iv, machine)| (iv, machine))
-                        .collect();
-                    pairs.sort();
-                    pairs
-                };
+                let mut live_sorted: Vec<(Interval, usize)> = scheduler
+                    .live_jobs()
+                    .map(|(_, iv, machine)| (iv, machine))
+                    .collect();
+                live_sorted.sort();
                 let check_instance =
-                    Instance::new(live_sorted.iter().map(|&(iv, _)| iv).collect(), capacity)
+                    Instance::new(live_sorted.iter().map(|&(iv, _)| iv).collect(), CAPACITY)
                         .expect("capacity is positive");
                 let schedule = Schedule::from_assignment(
                     live_sorted
@@ -668,9 +955,9 @@ fn main() {
             defrag.push(DefragRow {
                 family: family.to_string(),
                 policy: policy.name().to_string(),
-                jobs: defrag_jobs,
-                capacity,
-                cuts: defrag_cuts.len(),
+                jobs,
+                capacity: CAPACITY,
+                cuts: cuts.len(),
                 live_jobs,
                 cost_before,
                 cost_after,
@@ -683,18 +970,21 @@ fn main() {
             });
         }
     }
+    defrag
+}
 
-    // Exact re-pricing: at sizes the subset DP cannot reach, the branch-and-bound
-    // oracle prices workload-family instances to the true optimum (or to a proven
-    // [lower, upper] bracket when its default budget runs out), and the online
-    // arrival-order FirstFit replay plus its compact-to-fixpoint repair are recorded
-    // as ratios to that optimum instead of to the offline greedy.  The n ≤
-    // MAX_EXACT_JOBS rows carry the subset-DP cost alongside as a cross-check.
-    let exact_sizes: &[usize] = if quick { &[20, 40] } else { &[20, 30, 40, 60] };
-    let exact_capacity = 4usize;
+/// Exact re-pricing: at sizes the subset DP cannot reach, the branch-and-bound
+/// oracle prices workload-family instances to the true optimum (or to a proven
+/// [lower, upper] bracket when its budget runs out), and the online arrival-order
+/// FirstFit replay plus its compact-to-fixpoint repair are recorded as ratios to
+/// that optimum instead of to the offline greedy.  The n ≤ MAX_EXACT_JOBS rows
+/// carry the subset-DP cost alongside as a cross-check.
+fn exact_rows(quick: bool) -> Vec<ExactRow> {
+    let sizes: &[usize] = if quick { &[20, 40] } else { &[20, 30, 40, 60] };
+    let capacity = 4usize;
     // Quick mode halves the node budget, not the size grid — the n = 40 gate must
     // hold in CI too, and the hard rows hit their best incumbent early anyway.
-    let exact_budget = if quick {
+    let budget = if quick {
         ExactBudget {
             max_nodes: 500_000,
             max_millis: None,
@@ -702,25 +992,25 @@ fn main() {
     } else {
         ExactBudget::default()
     };
-    let mut exact: Vec<ExactRow> = Vec::new();
-    for &n in exact_sizes {
-        let exact_families: Vec<(&str, Instance)> = vec![
+    let mut exact = Vec::new();
+    for &n in sizes {
+        let families: Vec<(&str, Instance)> = vec![
             (
                 "general",
-                general_instance(&mut seeded_rng(2012), n, exact_capacity, 300, 30),
+                general_instance(&mut seeded_rng(2012), n, capacity, 300, 30),
             ),
             (
                 "proper_dense",
-                proper_instance(&mut seeded_rng(2012), n, exact_capacity, 40, 8),
+                proper_instance(&mut seeded_rng(2012), n, capacity, 40, 8),
             ),
             (
                 "cloud",
-                cloud_trace(&mut seeded_rng(2012), n, exact_capacity, 5, 1, 100),
+                cloud_trace(&mut seeded_rng(2012), n, capacity, 5, 1, 100),
             ),
         ];
-        for (family, inst) in exact_families {
+        for (family, inst) in families {
             let started = Instant::now();
-            let outcome = bnb::branch_and_bound(&inst, &exact_budget);
+            let outcome = bnb::branch_and_bound(&inst, &budget);
             let secs = started.elapsed().as_secs_f64();
             let (lower, upper, optimal, nodes) = match &outcome {
                 ExactOutcome::Optimal { cost, nodes, .. } => {
@@ -733,72 +1023,63 @@ fn main() {
                     ..
                 } => (lower.ticks(), upper.ticks(), false, *nodes),
             };
-            let gap = (upper - lower) as f64 / lower.max(1) as f64;
             let dp_cost = (inst.len() <= MAX_EXACT_JOBS && !inst.is_empty())
                 .then(|| exact_minbusy_cost(&inst).ticks());
 
             // Ratios to OPT when solved, to the proven lower bound otherwise —
             // either way `cost ≥ OPT ≥ lower` keeps them at or above 1.
-            let opt_floor = if optimal { upper } else { lower };
+            let opt_floor = (if optimal { upper } else { lower }).max(1) as f64;
             let mut live =
                 OnlineScheduler::run(&trace_from_instance(&inst), OnlinePolicy::FirstFit)
                     .expect("instance replays are well-formed")
                     .scheduler;
             let online_cost = live.cost().ticks();
-            let mut moves = 0usize;
-            loop {
-                let effect = live.compact(64);
-                moves += effect.moves;
-                if effect.moves == 0 {
-                    break;
-                }
-            }
+            let moves = compact_to_fixpoint(&mut live);
             let defrag_cost = live.cost().ticks();
 
             exact.push(ExactRow {
                 family: family.to_string(),
                 jobs: n,
-                capacity: exact_capacity,
+                capacity,
                 lower,
                 upper,
                 optimal,
                 nodes,
-                gap,
+                gap: (upper - lower) as f64 / lower.max(1) as f64,
                 secs,
                 dp_cost,
                 online_cost,
-                online_to_opt: online_cost as f64 / opt_floor.max(1) as f64,
+                online_to_opt: online_cost as f64 / opt_floor,
                 defrag_cost,
-                defrag_to_opt: defrag_cost as f64 / opt_floor.max(1) as f64,
+                defrag_to_opt: defrag_cost as f64 / opt_floor,
                 moves,
             });
         }
     }
+    exact
+}
 
-    // `solve_batch` over the work-stealing pool: one mixed batch, several widths.
-    // Thread counts beyond the container's available parallelism are still measured —
-    // the meta block records both so the numbers stay interpretable.
-    let batch_instances = if quick { 200 } else { 1_000 };
+/// `solve_batch` over the work-stealing pool: one mixed batch, several widths.
+/// Thread counts beyond the container's available parallelism are still measured —
+/// the meta block records both so the numbers stay interpretable.
+fn batch_rows(quick: bool) -> Vec<BatchRow> {
+    let instances = if quick { 200 } else { 1_000 };
     let jobs_per_instance = 60;
     let mut rng = seeded_rng(2012);
-    let problems: Vec<Problem> = (0..batch_instances)
-        .map(|_| {
-            let inst = proper_instance(&mut rng, jobs_per_instance, 4, 40, 8);
-            Problem::min_busy(inst)
-        })
+    let problems: Vec<Problem> = (0..instances)
+        .map(|_| Problem::min_busy(proper_instance(&mut rng, jobs_per_instance, 4, 40, 8)))
         .collect();
     let solver = Solver::new();
-    let trials = 3usize;
     let mut batch = Vec::new();
     let mut one_thread_secs = 0.0f64;
     for threads in [1usize, 2, 4, 8] {
         busytime::par::set_default_threads(threads);
-        let secs = time_trials(trials, || solver.solve_batch(&problems));
+        let secs = time_trials(TRIALS, || solver.solve_batch(&problems));
         if threads == 1 {
             one_thread_secs = secs;
         }
         batch.push(BatchRow {
-            instances: batch_instances,
+            instances,
             jobs_per_instance,
             threads,
             secs,
@@ -806,111 +1087,58 @@ fn main() {
         });
     }
     busytime::par::set_default_threads(0);
+    batch
+}
 
-    // The multi-tenant server: one interleaved request stream over T tenants, one
-    // concurrent client thread per tenant, driven through the in-process `Engine`
-    // (the same path the TCP connection threads use, minus the socket) at several
-    // shard counts.  Each trial rebuilds a fresh registry so every configuration
-    // replays the identical stream from empty state; only the drive is timed.
-    let server_tenants = if quick { 4 } else { 8 };
-    let server_jobs = if quick { 500 } else { 2_500 };
-    let stream = busytime_workload::multi_tenant_stream(
-        &mut seeded_rng(2012),
-        server_tenants,
-        server_jobs,
-        2.0,
-        &heavy_tail,
-    );
-    // Per-tenant request sequences, prepared outside the timed section.
-    let per_tenant: Vec<Vec<busytime_server::Request>> = (0..server_tenants)
-        .map(|t| {
-            stream
-                .iter()
-                .filter(|(tenant, _)| *tenant == t)
-                .map(|(_, event)| {
-                    busytime_server::Request::from_event(&format!("tenant-{t}"), event)
-                })
-                .collect()
-        })
-        .collect();
+/// The multi-tenant server: one interleaved request stream over T tenants, one
+/// concurrent client thread per tenant, driven through the in-process `Engine`
+/// (the same path the TCP connection threads use, minus the socket) at several
+/// shard counts.  Each trial rebuilds a fresh registry so every configuration
+/// replays the identical stream from empty state; only the drive is timed.
+fn server_rows(quick: bool) -> Vec<ServerRow> {
+    let tenants = if quick { 4 } else { 8 };
+    let (names, per_tenant) = tenant_requests(tenants, if quick { 500 } else { 2_500 });
+    let requests = per_tenant.iter().map(Vec::len).sum();
     let mut server = Vec::new();
     let mut one_shard_rps = 0.0f64;
     for shards in [1usize, 2, 4, 8] {
-        let mut samples: Vec<f64> = (0..trials)
-            .map(|_| {
-                let registry = busytime_server::Registry::new(shards);
-                let engine = registry.engine();
-                for t in 0..server_tenants {
-                    let response = engine.call(busytime_server::Request::Open {
-                        tenant: format!("tenant-{t}"),
-                        capacity,
-                        policy: Some("first-fit".to_string()),
-                    });
-                    assert!(response.is_ok(), "{response:?}");
-                }
-                let started = Instant::now();
-                std::thread::scope(|scope| {
-                    for requests in &per_tenant {
-                        let engine = engine.clone();
-                        scope.spawn(move || {
-                            for request in requests {
-                                let response = engine.call(request.clone());
-                                assert!(response.is_ok(), "{response:?}");
-                            }
-                        });
-                    }
-                });
-                let secs = started.elapsed().as_secs_f64();
-                drop(engine);
-                registry.shutdown();
-                secs
-            })
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        let secs = samples[samples.len() / 2];
-        let requests_per_sec = stream.len() as f64 / secs;
+        let secs = median(
+            (0..TRIALS)
+                .map(|_| {
+                    with_registry(RegistryConfig::new(shards), &names, |engine| {
+                        drive_tenants(engine, &per_tenant)
+                    })
+                })
+                .collect(),
+        );
+        let requests_per_sec = requests as f64 / secs;
         if shards == 1 {
             one_shard_rps = requests_per_sec;
         }
         server.push(ServerRow {
-            tenants: server_tenants,
-            clients: server_tenants,
-            requests: stream.len(),
+            tenants,
+            clients: tenants,
+            requests,
             shards,
             secs,
             requests_per_sec,
             speedup_vs_1_shard: requests_per_sec / one_shard_rps,
         });
     }
+    server
+}
 
-    // Durability: the identical interleaved stream with the write-ahead log off
-    // (in-memory baseline) and on at several group-commit batch sizes — the
-    // end-to-end price of journaling every mutation before acknowledging it.
-    // Each trial starts from a fresh data directory so no run replays another's
-    // journal; fsync-every-append is measured with a single trial because its
-    // one fsync per event dominates any scheduling noise.
-    let dur_tenants = 4usize;
-    let dur_jobs = if quick { 250 } else { 1_000 };
-    let dur_stream = busytime_workload::multi_tenant_stream(
-        &mut seeded_rng(2012),
-        dur_tenants,
-        dur_jobs,
-        2.0,
-        &heavy_tail,
-    );
-    let dur_per_tenant: Vec<Vec<busytime_server::Request>> = (0..dur_tenants)
-        .map(|t| {
-            dur_stream
-                .iter()
-                .filter(|(tenant, _)| *tenant == t)
-                .map(|(_, event)| {
-                    busytime_server::Request::from_event(&format!("tenant-{t}"), event)
-                })
-                .collect()
-        })
-        .collect();
-    let dur_root =
-        std::env::temp_dir().join(format!("busytime-scaling-wal-{}", std::process::id()));
+/// Durability: the identical interleaved stream with the write-ahead log off
+/// (in-memory baseline) and on at several group-commit batch sizes — the
+/// end-to-end price of journaling every mutation before acknowledging it.
+/// Each trial starts from a fresh data directory so no run replays another's
+/// journal; fsync-every-append is measured with a single trial because its
+/// one fsync per event dominates any scheduling noise.
+fn durability_rows(quick: bool) -> Vec<DurabilityRow> {
+    let tenants = 4usize;
+    let (names, per_tenant) = tenant_requests(tenants, if quick { 250 } else { 1_000 });
+    let requests = per_tenant.iter().map(Vec::len).sum();
+    let root = fresh_dir("wal");
     let mut durability = Vec::new();
     let mut in_memory_rps = 0.0f64;
     for fsync_batch in [None, Some(1usize), Some(64), Some(1024)] {
@@ -918,42 +1146,14 @@ fn main() {
             None => "in-memory".to_string(),
             Some(batch) => format!("wal-fsync-{batch}"),
         };
-        let mode_trials = if fsync_batch == Some(1) { 1 } else { trials };
+        let mode_trials = if fsync_batch == Some(1) { 1 } else { TRIALS };
         let measure_once = || {
-            let _ = std::fs::remove_dir_all(&dur_root);
-            let config = fsync_batch.map(|batch| {
-                let mut config = busytime_server::DurabilityConfig::new(&dur_root);
-                config.fsync_batch = batch;
-                config.compact_threshold = u64::MAX;
-                config
-            });
-            let registry = busytime_server::Registry::with_durability(4, config)
-                .expect("the bench data directory opens");
-            let engine = registry.engine();
-            for t in 0..dur_tenants {
-                let response = engine.call(busytime_server::Request::Open {
-                    tenant: format!("tenant-{t}"),
-                    capacity,
-                    policy: Some("first-fit".to_string()),
-                });
-                assert!(response.is_ok(), "{response:?}");
-            }
-            let started = Instant::now();
-            std::thread::scope(|scope| {
-                for requests in &dur_per_tenant {
-                    let engine = engine.clone();
-                    scope.spawn(move || {
-                        for request in requests {
-                            let response = engine.call(request.clone());
-                            assert!(response.is_ok(), "{response:?}");
-                        }
-                    });
-                }
-            });
-            let secs = started.elapsed().as_secs_f64();
-            drop(engine);
-            registry.shutdown();
-            secs
+            let _ = std::fs::remove_dir_all(&root);
+            let config = match fsync_batch {
+                None => RegistryConfig::new(4),
+                Some(batch) => wal_config(4, &root, batch),
+            };
+            with_registry(config, &names, |engine| drive_tenants(engine, &per_tenant))
         };
         // Like the first-fit parity rows: a sub-threshold ratio on a short drive
         // is timer noise on a shared box far more often than a real logging
@@ -963,103 +1163,81 @@ fn main() {
         // margin noise cannot close).
         let mut secs = f64::INFINITY;
         for _ in 0..4 {
-            let mut samples: Vec<f64> = (0..mode_trials).map(|_| measure_once()).collect();
-            samples.sort_by(f64::total_cmp);
-            secs = secs.min(samples[samples.len() / 2]);
-            let ratio = dur_stream.len() as f64 / secs / in_memory_rps.max(f64::MIN_POSITIVE);
+            secs = secs.min(median((0..mode_trials).map(|_| measure_once()).collect()));
+            let ratio = requests as f64 / secs / in_memory_rps.max(f64::MIN_POSITIVE);
             if fsync_batch != Some(64) || ratio >= 0.5 {
                 break;
             }
         }
-        let requests_per_sec = dur_stream.len() as f64 / secs;
+        let requests_per_sec = requests as f64 / secs;
         if fsync_batch.is_none() {
             in_memory_rps = requests_per_sec;
         }
         durability.push(DurabilityRow {
             mode,
             fsync_batch,
-            tenants: dur_tenants,
-            requests: dur_stream.len(),
+            tenants,
+            requests,
             secs,
             requests_per_sec,
             throughput_vs_in_memory: requests_per_sec / in_memory_rps,
         });
     }
-    let _ = std::fs::remove_dir_all(&dur_root);
+    let _ = std::fs::remove_dir_all(&root);
+    durability
+}
 
-    // Crash recovery: drive one tenant's journal to a target length, shut the
-    // registry down (appends are write-through, so this leaves exactly the disk
-    // state a SIGKILL would), and time a cold restart.  Recovery runs on the
-    // shard thread before its first response, so `with_durability` + one query
-    // measures it end to end: store scan + snapshot restore + journal replay.
-    // Measured against the full journal, then again after a `persist`
-    // compaction folded the log into a snapshot.
-    let recovery_lengths: &[usize] = if quick {
+/// Crash recovery: drive one tenant's journal to a target length, shut the
+/// registry down (appends are write-through, so this leaves exactly the disk
+/// state a SIGKILL would), and time a cold restart.  Recovery runs on the
+/// shard thread before its first response, so starting a registry and answering
+/// one query measures it end to end: store scan + snapshot restore + journal
+/// replay.  Measured against the full journal, then again after a `persist`
+/// compaction folded the log into a snapshot.
+fn recovery_rows(quick: bool) -> Vec<RecoveryRow> {
+    let lengths: &[usize] = if quick {
         &[1_000, 10_000]
     } else {
         &[10_000, 100_000, 1_000_000]
     };
     let mut recovery = Vec::new();
-    for &log_events in recovery_lengths {
-        let root = std::env::temp_dir().join(format!(
-            "busytime-scaling-recovery-{}-{log_events}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let config = || {
-            let mut config = busytime_server::DurabilityConfig::new(&root);
-            config.fsync_batch = 1024;
-            config.compact_threshold = u64::MAX;
-            Some(config)
-        };
+    for &log_events in lengths {
+        let root = fresh_dir(&format!("recovery-{log_events}"));
+        let config = || wal_config(1, &root, 1024);
         let trace = poisson_trace(
             &mut seeded_rng(2012),
             log_events / 2,
-            capacity,
+            CAPACITY,
             3.0,
-            &heavy_tail,
+            &HEAVY_TAIL,
         );
-        {
-            let registry = busytime_server::Registry::with_durability(1, config())
-                .expect("the bench data directory opens");
-            let engine = registry.engine();
-            let response = engine.call(busytime_server::Request::Open {
-                tenant: "wal".to_string(),
-                capacity,
-                policy: Some("first-fit".to_string()),
-            });
-            assert!(response.is_ok(), "{response:?}");
+        with_registry(config(), &["wal".to_string()], |engine| {
             for event in &trace.events {
-                let response = engine.call(busytime_server::Request::from_event("wal", event));
-                assert!(response.is_ok(), "{response:?}");
+                call_ok(engine, Request::from_event("wal", event));
             }
-            drop(engine);
-            registry.shutdown();
-        }
+        });
         for compacted in [false, true] {
             if compacted {
                 // Fold the journal into a fresh snapshot, exactly as `persist` does.
-                let registry = busytime_server::Registry::with_durability(1, config())
-                    .expect("the bench data directory opens");
-                let engine = registry.engine();
-                let response = engine.call(busytime_server::Request::Persist {
-                    tenant: "wal".to_string(),
+                with_registry(config(), &[], |engine| {
+                    call_ok(
+                        engine,
+                        Request::Persist {
+                            tenant: "wal".to_string(),
+                        },
+                    )
                 });
-                assert!(response.is_ok(), "{response:?}");
-                drop(engine);
-                registry.shutdown();
             }
-            let rec_trials = if log_events >= 1_000_000 { 1 } else { 3 };
-            let recovery_secs = time_trials(rec_trials, || {
-                let registry = busytime_server::Registry::with_durability(1, config())
-                    .expect("the bench data directory opens");
-                let engine = registry.engine();
-                let response = engine.call(busytime_server::Request::Query {
-                    tenant: "wal".to_string(),
-                });
-                assert!(response.is_ok(), "{response:?}");
-                drop(engine);
-                registry.shutdown();
+            let trials = if log_events >= 1_000_000 { 1 } else { 3 };
+            let recovery_secs = time_trials(trials, || {
+                with_registry(config(), &[], |engine| {
+                    call_ok(
+                        engine,
+                        Request::Query {
+                            tenant: "wal".to_string(),
+                        },
+                    )
+                })
             });
             recovery.push(RecoveryRow {
                 log_events,
@@ -1070,120 +1248,118 @@ fn main() {
         }
         let _ = std::fs::remove_dir_all(&root);
     }
+    recovery
+}
 
-    // The wire itself: the loopback load generator drives a real daemon (socket,
-    // framing negotiation, batched shard handoff — the full connection path) over
-    // both framings at several pipeline depths.  One matrix, fresh tenants per
-    // cell, identical seeded workload in every cell.
-    let load_depths: &[usize] = if quick { &[1, 8] } else { &[1, 8, 64] };
-    let load_events = if quick { 500 } else { 2_500 };
-    let (load_server, load_registry) = busytime_bench::loadgen::spawn_loopback(4);
-    let load_addr = load_server.addr().to_string();
-    let server_load = busytime_bench::loadgen::run_matrix(
-        &load_addr,
-        &[
-            busytime_server::Framing::Ndjson,
-            busytime_server::Framing::Binary,
-        ],
-        load_depths,
-        4,
-        4,
-        load_events,
-        2012,
-    )
-    .expect("the loopback load matrix runs");
-    drop(load_server);
-    load_registry.shutdown();
+/// Pipeline depths of the wire load matrix.
+fn load_depths(quick: bool) -> &'static [usize] {
+    if quick {
+        &[1, 8]
+    } else {
+        &[1, 8, 64]
+    }
+}
 
-    // Resilience: the overload and fault paths added alongside admission
-    // control.  First a single-tenant flood against a rate quota (most of it
-    // must shed, and the same flood with no quota must fully land), then a
-    // deterministic shard kill mid-stream, timing how long the engine takes to
-    // respawn the worker, replay its WAL, and answer again.
+/// The wire itself: the loopback load generator drives a real daemon (socket,
+/// framing negotiation, batched shard handoff — the full connection path) over
+/// both framings at several pipeline depths, with an identical seeded workload in
+/// every cell.  The matrix runs [`TRIALS`] times, each against a fresh daemon, and
+/// every cell records its median-throughput trial whole: one short drive on a
+/// small host can stall for milliseconds, which would decide the framing gates on
+/// its own.
+fn server_load_rows(quick: bool) -> Vec<LoadRow> {
+    let trials: Vec<Vec<LoadRow>> = (0..TRIALS)
+        .map(|_| {
+            let (server, registry) = spawn_loopback(4);
+            let rows = run_matrix(
+                &server.addr().to_string(),
+                &[Framing::Ndjson, Framing::Binary],
+                load_depths(quick),
+                LOAD_TENANTS,
+                LOAD_TENANTS,
+                if quick { 500 } else { 2_500 },
+                2012,
+            )
+            .expect("the loopback load matrix runs");
+            drop(server);
+            registry.shutdown();
+            rows
+        })
+        .collect();
+    let mut rows: Vec<LoadRow> = (0..trials[0].len())
+        .map(|cell| {
+            let mut samples: Vec<&LoadRow> = trials.iter().map(|trial| &trial[cell]).collect();
+            samples.sort_by(|a, b| a.requests_per_sec.total_cmp(&b.requests_per_sec));
+            samples[samples.len() / 2].clone()
+        })
+        .collect();
+    annotate_speedups(&mut rows);
+    rows
+}
+
+/// Resilience: the overload and fault paths of admission control.  First a
+/// single-tenant flood against a rate quota (most of it must shed, and the same
+/// flood with no quota must fully land), then a deterministic shard kill
+/// mid-stream, timing how long the engine takes to respawn the worker, replay
+/// its WAL, and answer again.
+fn resilience_rows(quick: bool) -> Vec<ResilienceRow> {
     let mut resilience = Vec::new();
     let flood_requests = if quick { 2_000 } else { 10_000 };
     for shedding in [true, false] {
-        let mut config = busytime_server::RegistryConfig::new(2);
+        let mut config = RegistryConfig::new(2);
         if shedding {
-            config.admission = Some(busytime_server::AdmissionConfig {
+            config.admission = Some(AdmissionConfig {
                 tenant_rate: Some(500.0),
                 ..Default::default()
             });
         }
-        let registry =
-            busytime_server::Registry::with_config(config).expect("an in-memory registry");
-        let engine = registry.engine();
-        let response = engine.call(busytime_server::Request::Open {
-            tenant: "flood".to_string(),
-            capacity,
-            policy: Some("first-fit".to_string()),
-        });
-        assert!(response.is_ok(), "{response:?}");
-        let started = Instant::now();
-        let (mut ok, mut shed) = (0usize, 0usize);
-        for _ in 0..flood_requests {
-            match engine.call(busytime_server::Request::Query {
-                tenant: "flood".to_string(),
-            }) {
-                busytime_server::Response::Error(error)
-                    if error.code == busytime_server::ErrorCode::Overloaded =>
-                {
-                    shed += 1;
-                }
-                response => {
-                    assert!(response.is_ok(), "{response:?}");
-                    ok += 1;
+        resilience.push(with_registry(config, &["flood".to_string()], |engine| {
+            let started = Instant::now();
+            let (mut ok, mut shed) = (0usize, 0usize);
+            for _ in 0..flood_requests {
+                match engine.call(Request::Query {
+                    tenant: "flood".to_string(),
+                }) {
+                    Response::Error(error) if error.code == ErrorCode::Overloaded => shed += 1,
+                    response => {
+                        assert!(response.is_ok(), "{response:?}");
+                        ok += 1;
+                    }
                 }
             }
-        }
-        resilience.push(ResilienceRow {
-            scenario: format!("flood_shedding_{}", if shedding { "on" } else { "off" }),
-            requests: flood_requests,
-            ok,
-            shed,
-            secs: started.elapsed().as_secs_f64(),
-            recovery_ms: None,
-        });
-        drop(engine);
-        registry.shutdown();
+            ResilienceRow {
+                scenario: format!("flood_shedding_{}", if shedding { "on" } else { "off" }),
+                requests: flood_requests,
+                ok,
+                shed,
+                secs: started.elapsed().as_secs_f64(),
+                recovery_ms: None,
+            }
+        }));
     }
-    {
-        let root = std::env::temp_dir().join(format!(
-            "busytime-scaling-resilience-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let kill_jobs = if quick { 200 } else { 1_000 };
-        let trace = poisson_trace(&mut seeded_rng(2012), kill_jobs, capacity, 3.0, &heavy_tail);
-        let mut config = busytime_server::RegistryConfig::new(1);
-        config.durability = Some(busytime_server::DurabilityConfig::new(&root));
-        // Draw the single kill from the first half of the stream so it always
-        // fires mid-drive.
-        config.faults = Some(busytime_server::FaultPlan::new(
-            busytime_server::FaultSpec {
-                shard_kills: 1,
-                horizon: (trace.events.len() / 2) as u64,
-                ..busytime_server::FaultSpec::quiet(2012)
-            },
-        ));
-        let registry =
-            busytime_server::Registry::with_config(config).expect("the bench data directory opens");
-        let engine = registry.engine();
-        let response = engine.call(busytime_server::Request::Open {
-            tenant: "chaos".to_string(),
-            capacity,
-            policy: Some("first-fit".to_string()),
-        });
-        assert!(response.is_ok(), "{response:?}");
+
+    let root = fresh_dir("resilience");
+    let kill_jobs = if quick { 200 } else { 1_000 };
+    let trace = poisson_trace(&mut seeded_rng(2012), kill_jobs, CAPACITY, 3.0, &HEAVY_TAIL);
+    let mut config = RegistryConfig::new(1);
+    config.durability = Some(DurabilityConfig::new(&root));
+    // Draw the single kill from the first half of the stream so it always fires
+    // mid-drive.
+    config.faults = Some(FaultPlan::new(FaultSpec {
+        shard_kills: 1,
+        horizon: (trace.events.len() / 2) as u64,
+        ..FaultSpec::quiet(2012)
+    }));
+    resilience.push(with_registry(config, &["chaos".to_string()], |engine| {
         let started = Instant::now();
         let (mut ok, mut shed) = (0usize, 0usize);
         let mut recovery_ms = None;
         for event in &trace.events {
-            let request = busytime_server::Request::from_event("chaos", event);
+            let request = Request::from_event("chaos", event);
             let mut first_failure: Option<Instant> = None;
             loop {
                 match engine.call(request.clone()) {
-                    busytime_server::Response::Error(error) if error.code.is_retryable() => {
+                    Response::Error(error) if error.code.is_retryable() => {
                         // The kill fires before the batch is touched, so the
                         // failed event was neither applied nor logged — the
                         // retry is exactly-once.
@@ -1206,543 +1382,699 @@ fn main() {
                 }
             }
         }
-        resilience.push(ResilienceRow {
+        ResilienceRow {
             scenario: "shard_respawn".to_string(),
             requests: trace.events.len(),
             ok,
             shed,
             secs: started.elapsed().as_secs_f64(),
             recovery_ms,
-        });
-        drop(engine);
-        registry.shutdown();
-        let _ = std::fs::remove_dir_all(&root);
+        }
+    }));
+    let _ = std::fs::remove_dir_all(&root);
+    resilience
+}
+
+/// Render the report as JSON with one row object per line, which keeps the
+/// committed record diffable across regenerations.
+fn render(report: &Report) -> String {
+    fn lines<T: Serialize>(rows: &[T]) -> Vec<String> {
+        rows.iter()
+            .map(|row| serde_json::to_string(row).expect("rows serialize"))
+            .collect()
     }
-
-    let parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let report = Report {
-        meta: Meta {
-            git_rev: git_rev(),
-            threads_default: busytime::par::default_threads(),
-            available_parallelism: parallelism,
-            parallelism,
-            profile: if cfg!(debug_assertions) {
-                "debug".to_string()
-            } else {
-                "release".to_string()
-            },
-            quick,
-            trials: trials_for(usize::MAX),
-            trials_small_n: trials_for(0),
-        },
-        rows,
-        online,
-        defrag,
-        exact,
-        batch,
-        server,
-        durability,
-        recovery,
-        server_load,
-        resilience,
-    };
-
-    // One row object per line keeps the file diffable across regenerations.
-    let mut text = String::from("{\n");
-    text.push_str(&format!(
-        "  \"meta\": {},\n",
+    let sections = [
+        ("rows", lines(&report.rows)),
+        ("algorithms", lines(&report.algorithms)),
+        ("online", lines(&report.online)),
+        ("defrag", lines(&report.defrag)),
+        ("exact", lines(&report.exact)),
+        ("batch", lines(&report.batch)),
+        ("server", lines(&report.server)),
+        ("durability", lines(&report.durability)),
+        ("recovery", lines(&report.recovery)),
+        ("server_load", lines(&report.server_load)),
+        ("resilience", lines(&report.resilience)),
+    ];
+    let mut text = format!(
+        "{{\n  \"meta\": {},\n",
         serde_json::to_string(&report.meta).expect("meta serializes")
-    ));
-    text.push_str("  \"rows\": [\n");
-    for (i, r) in report.rows.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("rows serialize"));
-        text.push_str(if i + 1 < report.rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"online\": [\n");
-    for (i, r) in report.online.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("online rows serialize"));
-        text.push_str(if i + 1 < report.online.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"defrag\": [\n");
-    for (i, r) in report.defrag.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("defrag rows serialize"));
-        text.push_str(if i + 1 < report.defrag.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"exact\": [\n");
-    for (i, r) in report.exact.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("exact rows serialize"));
-        text.push_str(if i + 1 < report.exact.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"batch\": [\n");
-    for (i, r) in report.batch.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("batch rows serialize"));
-        text.push_str(if i + 1 < report.batch.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"server\": [\n");
-    for (i, r) in report.server.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("server rows serialize"));
-        text.push_str(if i + 1 < report.server.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"durability\": [\n");
-    for (i, r) in report.durability.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("durability rows serialize"));
-        text.push_str(if i + 1 < report.durability.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"recovery\": [\n");
-    for (i, r) in report.recovery.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("recovery rows serialize"));
-        text.push_str(if i + 1 < report.recovery.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"server_load\": [\n");
-    for (i, r) in report.server_load.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("server_load rows serialize"));
-        text.push_str(if i + 1 < report.server_load.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ],\n  \"resilience\": [\n");
-    for (i, r) in report.resilience.iter().enumerate() {
-        text.push_str("    ");
-        text.push_str(&serde_json::to_string(r).expect("resilience rows serialize"));
-        text.push_str(if i + 1 < report.resilience.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    text.push_str("  ]\n}\n");
-
-    let mut file = std::fs::File::create(&output).expect("create output file");
-    file.write_all(text.as_bytes()).expect("write output");
-
-    println!(
-        "{:<36} {:>8} {:>11} {:>11} {:>8} {:>11} {:>9}",
-        "bench", "n", "kernel_s", "scan_s", "speedup", "adaptive_s", "adpt_spd"
     );
-    for r in &report.rows {
-        println!(
-            "{:<36} {:>8} {:>11.6} {:>11} {:>8} {:>11} {:>9}",
-            r.bench,
-            r.n,
-            r.kernel_secs,
-            r.scan_secs
-                .map_or_else(|| "skipped".into(), |s| format!("{s:.6}")),
-            r.speedup.map_or("-".into(), |s| format!("{s:.1}x")),
-            r.adaptive_secs.map_or("-".into(), |s| format!("{s:.6}")),
-            r.adaptive_speedup
-                .map_or("-".into(), |s| format!("{s:.2}x")),
-        );
-    }
-    for r in &report.online {
-        println!(
-            "{:<36} {:>16} {:>8} jobs {:>8} events: {:>11.0} events/s{}",
-            r.bench,
-            r.policy,
-            r.jobs,
-            r.events,
-            r.events_per_sec,
-            r.cost_ratio
-                .map_or(String::new(), |c| format!(", {c:.3}x offline cost")),
-        );
-    }
-    for r in &report.defrag {
-        println!(
-            "defrag {:<20} {:>16} {:>5} live jobs over {} cuts: {:.3}x -> {:.3}x \
-             offline cost ({} moves, {:.4}s)",
-            r.family,
-            r.policy,
-            r.live_jobs,
-            r.cuts,
-            r.ratio_before,
-            r.ratio_after,
-            r.moves,
-            r.compact_secs,
-        );
-    }
-    for r in &report.exact {
-        println!(
-            "exact {:<14} n={:<3} g={}: {} ({} nodes, {:.4}s){} — online {:.3}x, \
-             defrag {:.3}x to OPT ({} moves)",
-            r.family,
-            r.jobs,
-            r.capacity,
-            if r.optimal {
-                format!("OPT = {}", r.upper)
-            } else {
-                format!(
-                    "{} <= OPT <= {} (gap {:.1}%)",
-                    r.lower,
-                    r.upper,
-                    r.gap * 100.0
-                )
-            },
-            r.nodes,
-            r.secs,
-            r.dp_cost
-                .map_or(String::new(), |dp| format!(", dp cross-check {dp}")),
-            r.online_to_opt,
-            r.defrag_to_opt,
-            r.moves,
-        );
-    }
-    for b in &report.batch {
-        println!(
-            "solve_batch {} x {} jobs, {} thread(s): {:.3}s ({:.2}x vs 1 thread)",
-            b.instances, b.jobs_per_instance, b.threads, b.secs, b.speedup_vs_1_thread
-        );
-    }
-    for s in &report.server {
-        println!(
-            "server {} tenants x {} requests, {} shard(s): {:.3}s ({:.0} requests/s, {:.2}x vs 1 shard)",
-            s.tenants, s.requests, s.shards, s.secs, s.requests_per_sec, s.speedup_vs_1_shard
-        );
-    }
-    for d in &report.durability {
-        println!(
-            "durability {:<14} {} tenants x {} requests: {:.3}s ({:.0} requests/s, {:.2}x vs in-memory)",
-            d.mode, d.tenants, d.requests, d.secs, d.requests_per_sec, d.throughput_vs_in_memory
-        );
-    }
-    for r in &report.recovery {
-        println!(
-            "recovery {:>8} logged events, {}: {:.4}s{}",
-            r.log_events,
-            if r.compacted {
-                "compacted snapshot"
-            } else {
-                "full journal replay"
-            },
-            r.recovery_secs,
-            r.events_per_sec
-                .map_or(String::new(), |e| format!(" ({e:.0} events/s replayed)")),
-        );
-    }
-    for r in &report.server_load {
-        println!(
-            "server_load {:<7} depth {:>3}: {:>8.0} requests/s \
-             (p50 {:.0}us, p99 {:.0}us, p999 {:.0}us, {:.2}x vs ndjson depth 1)",
-            r.framing,
-            r.pipeline_depth,
-            r.requests_per_sec,
-            r.p50_us,
-            r.p99_us,
-            r.p999_us,
-            r.speedup_vs_ndjson_depth1.unwrap_or(f64::NAN),
-        );
-    }
-    for r in &report.resilience {
-        println!(
-            "resilience {:<18} {:>6} requests: {:>6} ok, {:>6} shed, {:.3}s{}",
-            r.scenario,
-            r.requests,
-            r.ok,
-            r.shed,
-            r.secs,
-            r.recovery_ms
-                .map_or(String::new(), |ms| format!(" (respawned in {ms:.1}ms)")),
-        );
-    }
-    println!("wrote {output}");
-
-    if check {
-        let mut failures = Vec::new();
-        for r in &report.rows {
-            if let Some(spd) = r.adaptive_speedup {
-                if spd < 1.0 - ADAPTIVE_PARITY_TOLERANCE {
-                    failures.push(format!(
-                        "{} n={}: adaptive dispatch measured at {spd:.3}x vs best of \
-                         scan/kernel — below the {:.2}x tolerance band",
-                        r.bench,
-                        r.n,
-                        1.0 - ADAPTIVE_PARITY_TOLERANCE
-                    ));
-                }
-            }
-            if r.scan_secs.is_none() && r.skipped.is_none() {
-                failures.push(format!(
-                    "{} n={}: scan baseline absent without a skipped marker",
-                    r.bench, r.n
-                ));
-            }
+    for (i, (name, rows)) in sections.iter().enumerate() {
+        text.push_str(&format!("  \"{name}\": [\n"));
+        for (j, row) in rows.iter().enumerate() {
+            let comma = if j + 1 < rows.len() { "," } else { "" };
+            text.push_str(&format!("    {row}{comma}\n"));
         }
-        if report.online.is_empty() {
-            failures.push("no online-engine rows were recorded".to_string());
-        }
-        for r in &report.online {
-            if !(r.events_per_sec.is_finite() && r.events_per_sec > 0.0) {
-                failures.push(format!(
-                    "{} {} n={}: nonsensical event throughput {}",
-                    r.bench, r.policy, r.jobs, r.events_per_sec
-                ));
-            }
-        }
-        // The defragmentation invariants are exact, not statistical: compaction
-        // only ever commits strictly improving migrations, so it can never raise
-        // a cost or invalidate a schedule, and each family must show a real
-        // ratio improvement under at least one policy.
-        if report.defrag.is_empty() {
-            failures.push("no defrag rows were recorded".to_string());
-        }
-        for r in &report.defrag {
-            let cell = format!("defrag {} {}", r.family, r.policy);
-            if r.cost_after > r.cost_before {
-                failures.push(format!(
-                    "{cell}: compaction raised the cost {} -> {}",
-                    r.cost_before, r.cost_after
-                ));
-            }
-            if !r.valid {
-                failures.push(format!(
-                    "{cell}: the compacted schedule no longer validates"
-                ));
-            }
-            if r.live_jobs == 0 {
-                failures.push(format!(
-                    "{cell}: the trace prefix drained every job — nothing was compacted"
-                ));
-            }
-        }
-        let defrag_families: std::collections::BTreeSet<&str> =
-            report.defrag.iter().map(|r| r.family.as_str()).collect();
-        for family in defrag_families {
-            let best_shrink = report
-                .defrag
-                .iter()
-                .filter(|r| r.family == family)
-                .map(|r| r.ratio_before - r.ratio_after)
-                .fold(f64::MIN, f64::max);
-            if best_shrink <= 0.0 {
-                failures.push(format!(
-                    "defrag {family}: compaction never shrank the online-vs-offline \
-                     cost ratio under any policy"
-                ));
-            }
-        }
-        // The exact-oracle invariants: wherever the subset DP can still price the
-        // instance, branch-and-bound must agree with it exactly; the n = 40 rows
-        // must be solved or bracketed within 5%; and the re-pinned online/defrag
-        // ratios sit at or above 1 by construction (cost ≥ OPT ≥ lower), so a
-        // ratio below 1 means an unsound bound, not noise.
-        if report.exact.is_empty() {
-            failures.push("no exact rows were recorded".to_string());
-        }
-        for r in &report.exact {
-            let cell = format!("exact {} n={}", r.family, r.jobs);
-            if r.lower > r.upper {
-                failures.push(format!("{cell}: inverted bounds {} > {}", r.lower, r.upper));
-            }
-            if let Some(dp) = r.dp_cost {
-                if !r.optimal || r.upper != dp {
-                    failures.push(format!(
-                        "{cell}: branch-and-bound {} (optimal={}) disagrees with the \
-                         subset-DP optimum {dp}",
-                        r.upper, r.optimal
-                    ));
-                }
-            }
-            if r.jobs == 40 && !r.optimal && r.gap >= 0.05 {
-                failures.push(format!(
-                    "{cell}: unsolved with a {:.1}% gap — the n=40 bar is solved or < 5%",
-                    r.gap * 100.0
-                ));
-            }
-            if r.online_to_opt < 1.0 || r.defrag_to_opt < 1.0 {
-                failures.push(format!(
-                    "{cell}: a to-OPT ratio fell below 1 (online {:.4}, defrag {:.4}) — \
-                     the exact bound is unsound",
-                    r.online_to_opt, r.defrag_to_opt
-                ));
-            }
-            if r.defrag_cost > r.online_cost {
-                failures.push(format!(
-                    "{cell}: compaction raised the cost {} -> {}",
-                    r.online_cost, r.defrag_cost
-                ));
-            }
-        }
-        if report.server.is_empty() {
-            failures.push("no server rows were recorded".to_string());
-        }
-        for r in &report.server {
-            if !(r.requests_per_sec.is_finite() && r.requests_per_sec > 0.0) {
-                failures.push(format!(
-                    "server shards={}: nonsensical request throughput {}",
-                    r.shards, r.requests_per_sec
-                ));
-            }
-        }
-        if report.durability.is_empty() {
-            failures.push("no durability rows were recorded".to_string());
-        }
-        for d in &report.durability {
-            if !(d.requests_per_sec.is_finite() && d.requests_per_sec > 0.0) {
-                failures.push(format!(
-                    "durability {}: nonsensical request throughput {}",
-                    d.mode, d.requests_per_sec
-                ));
-            }
-        }
-        // The acceptance bar for the write-ahead log: group commit at batch 64
-        // must hold logged throughput within ~2x of the in-memory engine.  The
-        // bar sits at 0.4, not the nominal 0.5: the measured ratio is fsync
-        // latency over a short drive and drifts ±10% run to run on shared
-        // disks, so the gate needs headroom the claim itself does not.
-        if let Some(d) = report.durability.iter().find(|d| d.fsync_batch == Some(64)) {
-            if d.throughput_vs_in_memory < 0.4 {
-                failures.push(format!(
-                    "durability {}: {:.2}x vs in-memory — the batch-64 log must stay within ~2x",
-                    d.mode, d.throughput_vs_in_memory
-                ));
-            }
+        text.push_str(if i + 1 < sections.len() {
+            "  ],\n"
         } else {
-            failures.push("no batch-64 durability row was recorded".to_string());
+            "  ]\n"
+        });
+    }
+    text.push_str("}\n");
+    text
+}
+
+/// `true` for a finite, strictly positive measurement.
+fn positive(x: f64) -> bool {
+    x.is_finite() && x > 0.0
+}
+
+/// Every gate `--check` enforces, as one failure message per violation (empty
+/// when the report passes).  `quick` selects the CI bars: the expected wire
+/// depths, and parity instead of 3x for the pipelined binary framing.
+fn check(report: &Report, quick: bool) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (section, empty) in [
+        ("online-engine", report.online.is_empty()),
+        ("algorithms", report.algorithms.is_empty()),
+        ("defrag", report.defrag.is_empty()),
+        ("exact", report.exact.is_empty()),
+        ("server", report.server.is_empty()),
+        ("durability", report.durability.is_empty()),
+        ("recovery", report.recovery.is_empty()),
+        ("server_load", report.server_load.is_empty()),
+    ] {
+        if empty {
+            failures.push(format!("no {section} rows were recorded"));
         }
-        if report.recovery.is_empty() {
-            failures.push("no recovery rows were recorded".to_string());
-        }
-        for r in &report.recovery {
-            if !(r.recovery_secs.is_finite() && r.recovery_secs > 0.0) {
+    }
+    for r in &report.rows {
+        if let Some(spd) = r.adaptive_speedup {
+            if spd < 1.0 - ADAPTIVE_PARITY_TOLERANCE {
                 failures.push(format!(
-                    "recovery log_events={} compacted={}: nonsensical time {}",
-                    r.log_events, r.compacted, r.recovery_secs
+                    "{} n={}: adaptive dispatch measured at {spd:.3}x vs best of \
+                     scan/kernel — below the {:.2}x tolerance band",
+                    r.bench,
+                    r.n,
+                    1.0 - ADAPTIVE_PARITY_TOLERANCE
                 ));
             }
         }
-        if report.server_load.is_empty() {
-            failures.push("no server_load rows were recorded".to_string());
-        }
-        for r in &report.server_load {
-            let cell = format!("server_load {} depth {}", r.framing, r.pipeline_depth);
-            if r.requests == 0 || !(r.requests_per_sec.is_finite() && r.requests_per_sec > 0.0) {
-                failures.push(format!("{cell}: nonsensical request throughput"));
-            }
-            if !(r.p50_us <= r.p99_us && r.p99_us <= r.p999_us && r.p999_us <= r.max_us) {
-                failures.push(format!("{cell}: latency percentiles out of order"));
-            }
-            if r.speedup_vs_ndjson_depth1.is_none() {
-                failures.push(format!("{cell}: missing the ndjson depth-1 baseline"));
-            }
-        }
-        // The acceptance bar for the wire work: the binary framing with
-        // pipelining must beat the NDJSON depth-1 lockstep baseline by at
-        // least 3x (relaxed to parity under --quick, where the short drive
-        // leaves the percentiles — and hence throughput — noise-dominated).
-        let load_bar = if quick { 1.0 } else { 3.0 };
-        let best_binary = report
-            .server_load
-            .iter()
-            .filter(|r| r.framing == "binary")
-            .filter_map(|r| r.speedup_vs_ndjson_depth1)
-            .fold(0.0f64, f64::max);
-        if best_binary < load_bar {
+        if r.scan_secs.is_none() && r.skipped.is_none() {
             failures.push(format!(
-                "server_load: best binary cell at {best_binary:.2}x vs ndjson depth 1 \
-                 — the pipelined binary framing must reach {load_bar:.0}x"
+                "{} n={}: scan baseline absent without a skipped marker",
+                r.bench, r.n
             ));
         }
-        // The acceptance bars for the resilience work: the rate quota must
-        // actually shed a flood (and not touch one when disabled), and a
-        // killed shard must be back — WAL replayed, requests answered —
-        // well within the self-healing client's retry budget.
-        for scenario in ["flood_shedding_on", "flood_shedding_off", "shard_respawn"] {
-            let Some(r) = report.resilience.iter().find(|r| r.scenario == scenario) else {
-                failures.push(format!("no {scenario} resilience row was recorded"));
-                continue;
-            };
-            match scenario {
-                "flood_shedding_on" => {
-                    if r.shed == 0 {
-                        failures.push("flood_shedding_on: the rate quota shed nothing".to_string());
-                    }
+    }
+    for r in &report.algorithms {
+        if !positive(r.secs) {
+            failures.push(format!(
+                "{} n={}: nonsensical time {}",
+                r.bench, r.n, r.secs
+            ));
+        }
+    }
+    for r in &report.online {
+        if !positive(r.events_per_sec) {
+            failures.push(format!(
+                "{} {} n={}: nonsensical event throughput {}",
+                r.bench, r.policy, r.jobs, r.events_per_sec
+            ));
+        }
+    }
+    // The defragmentation invariants are exact, not statistical: compaction
+    // only ever commits strictly improving migrations, so it can never raise
+    // a cost or invalidate a schedule, and each family must show a real
+    // ratio improvement under at least one policy.
+    for r in &report.defrag {
+        let cell = format!("defrag {} {}", r.family, r.policy);
+        if r.cost_after > r.cost_before {
+            failures.push(format!(
+                "{cell}: compaction raised the cost {} -> {}",
+                r.cost_before, r.cost_after
+            ));
+        }
+        if !r.valid {
+            failures.push(format!(
+                "{cell}: the compacted schedule no longer validates"
+            ));
+        }
+        if r.live_jobs == 0 {
+            failures.push(format!(
+                "{cell}: the trace prefix drained every job — nothing was compacted"
+            ));
+        }
+    }
+    let defrag_families: std::collections::BTreeSet<&str> =
+        report.defrag.iter().map(|r| r.family.as_str()).collect();
+    for family in defrag_families {
+        let best_shrink = report
+            .defrag
+            .iter()
+            .filter(|r| r.family == family)
+            .map(|r| r.ratio_before - r.ratio_after)
+            .fold(f64::MIN, f64::max);
+        if best_shrink <= 0.0 {
+            failures.push(format!(
+                "defrag {family}: compaction never shrank the online-vs-offline \
+                 cost ratio under any policy"
+            ));
+        }
+    }
+    // The exact-oracle invariants: wherever the subset DP can still price the
+    // instance, branch-and-bound must agree with it exactly; the n = 40 rows
+    // must be solved or bracketed within 5%; and the re-pinned online/defrag
+    // ratios sit at or above 1 by construction (cost ≥ OPT ≥ lower), so a
+    // ratio below 1 means an unsound bound, not noise.
+    for r in &report.exact {
+        let cell = format!("exact {} n={}", r.family, r.jobs);
+        if r.lower > r.upper {
+            failures.push(format!("{cell}: inverted bounds {} > {}", r.lower, r.upper));
+        }
+        if let Some(dp) = r.dp_cost {
+            if !r.optimal || r.upper != dp {
+                failures.push(format!(
+                    "{cell}: branch-and-bound {} (optimal={}) disagrees with the \
+                     subset-DP optimum {dp}",
+                    r.upper, r.optimal
+                ));
+            }
+        }
+        if r.jobs == 40 && !r.optimal && r.gap >= 0.05 {
+            failures.push(format!(
+                "{cell}: unsolved with a {:.1}% gap — the n=40 bar is solved or < 5%",
+                r.gap * 100.0
+            ));
+        }
+        if r.online_to_opt < 1.0 || r.defrag_to_opt < 1.0 {
+            failures.push(format!(
+                "{cell}: a to-OPT ratio fell below 1 (online {:.4}, defrag {:.4}) — \
+                 the exact bound is unsound",
+                r.online_to_opt, r.defrag_to_opt
+            ));
+        }
+        if r.defrag_cost > r.online_cost {
+            failures.push(format!(
+                "{cell}: compaction raised the cost {} -> {}",
+                r.online_cost, r.defrag_cost
+            ));
+        }
+    }
+    for r in &report.server {
+        if !positive(r.requests_per_sec) {
+            failures.push(format!(
+                "server shards={}: nonsensical request throughput {}",
+                r.shards, r.requests_per_sec
+            ));
+        }
+    }
+    for d in &report.durability {
+        if !positive(d.requests_per_sec) {
+            failures.push(format!(
+                "durability {}: nonsensical request throughput {}",
+                d.mode, d.requests_per_sec
+            ));
+        }
+    }
+    // The acceptance bar for the write-ahead log: group commit at batch 64
+    // must hold logged throughput within ~2x of the in-memory engine.  The
+    // bar sits at 0.4, not the nominal 0.5: the measured ratio is fsync
+    // latency over a short drive and drifts ±10% run to run on shared
+    // disks, so the gate needs headroom the claim itself does not.
+    match report.durability.iter().find(|d| d.fsync_batch == Some(64)) {
+        Some(d) if d.throughput_vs_in_memory < 0.4 => failures.push(format!(
+            "durability {}: {:.2}x vs in-memory — the batch-64 log must stay within ~2x",
+            d.mode, d.throughput_vs_in_memory
+        )),
+        Some(_) => {}
+        None => failures.push("no batch-64 durability row was recorded".to_string()),
+    }
+    for r in &report.recovery {
+        if !positive(r.recovery_secs) {
+            failures.push(format!(
+                "recovery log_events={} compacted={}: nonsensical time {}",
+                r.log_events, r.compacted, r.recovery_secs
+            ));
+        }
+    }
+    check_server_load(&report.server_load, quick, &mut failures);
+    check_resilience(&report.resilience, &mut failures);
+    if report.meta.git_rev == "unknown" {
+        failures.push(
+            "meta.git_rev is \"unknown\" — the checked record must name its revision".to_string(),
+        );
+    }
+    failures
+}
+
+/// The wire matrix gates: every framing × depth cell present once and sane, the
+/// same workload in every cell, and the binary framing paying for itself.
+fn check_server_load(rows: &[LoadRow], quick: bool, failures: &mut Vec<String>) {
+    for r in rows {
+        let cell = format!("server_load {} depth {}", r.framing, r.pipeline_depth);
+        if r.requests == 0 || !positive(r.requests_per_sec) {
+            failures.push(format!("{cell}: nonsensical request throughput"));
+        }
+        if !(r.p50_us <= r.p99_us && r.p99_us <= r.p999_us && r.p999_us <= r.max_us) {
+            failures.push(format!("{cell}: latency percentiles out of order"));
+        }
+        if r.speedup_vs_ndjson_depth1.is_none() {
+            failures.push(format!("{cell}: missing the ndjson depth-1 baseline"));
+        }
+        if r.tenants != LOAD_TENANTS || r.requests != rows[0].requests {
+            failures.push(format!(
+                "{cell}: {} tenants x {} requests — every cell must replay the identical \
+                 workload ({LOAD_TENANTS} tenants x {} requests)",
+                r.tenants, r.requests, rows[0].requests
+            ));
+        }
+    }
+    let cells: Vec<(&str, usize)> = rows
+        .iter()
+        .map(|r| (r.framing.as_str(), r.pipeline_depth))
+        .collect();
+    let expected: Vec<(&str, usize)> = ["ndjson", "binary"]
+        .into_iter()
+        .flat_map(|framing| {
+            load_depths(quick)
+                .iter()
+                .map(move |&depth| (framing, depth))
+        })
+        .collect();
+    if cells != expected {
+        failures.push(format!(
+            "server_load: cells {cells:?}, expected {expected:?}"
+        ));
+    }
+    if let Some(baseline) = rows
+        .iter()
+        .find(|r| r.framing == "ndjson" && r.pipeline_depth == 1)
+    {
+        if baseline.speedup_vs_ndjson_depth1 != Some(1.0) {
+            failures.push(format!(
+                "server_load: the ndjson depth-1 baseline reads {:?}, not 1.0",
+                baseline.speedup_vs_ndjson_depth1
+            ));
+        }
+    }
+    // The acceptance bars for the wire work.  The best binary cell must be at
+    // least as fast as the best NDJSON cell in every mode (the compact framing
+    // must pay for itself even on a short drive), and the pipelined binary
+    // framing must beat the NDJSON depth-1 lockstep baseline by at least 3x
+    // (relaxed to parity under --quick, where the short drive leaves the
+    // percentiles — and hence throughput — noise-dominated).
+    let best = |framing: &str| {
+        rows.iter()
+            .filter(|r| r.framing == framing)
+            .map(|r| r.requests_per_sec)
+            .fold(0.0f64, f64::max)
+    };
+    let (ndjson, binary) = (best("ndjson"), best("binary"));
+    if binary < ndjson {
+        failures.push(format!(
+            "server_load: best binary cell ({binary:.0} req/s) is slower than the best \
+             ndjson cell ({ndjson:.0} req/s)"
+        ));
+    }
+    let load_bar = if quick { 1.0 } else { 3.0 };
+    let best_binary = rows
+        .iter()
+        .filter(|r| r.framing == "binary")
+        .filter_map(|r| r.speedup_vs_ndjson_depth1)
+        .fold(0.0f64, f64::max);
+    if best_binary < load_bar {
+        failures.push(format!(
+            "server_load: best binary cell at {best_binary:.2}x vs ndjson depth 1 \
+             — the pipelined binary framing must reach {load_bar:.0}x"
+        ));
+    }
+}
+
+/// The acceptance bars for the resilience work: the rate quota must actually
+/// shed a flood (and not touch one when disabled), and a killed shard must be
+/// back — WAL replayed, requests answered — well within the self-healing
+/// client's retry budget.
+fn check_resilience(rows: &[ResilienceRow], failures: &mut Vec<String>) {
+    for scenario in ["flood_shedding_on", "flood_shedding_off", "shard_respawn"] {
+        let Some(r) = rows.iter().find(|r| r.scenario == scenario) else {
+            failures.push(format!("no {scenario} resilience row was recorded"));
+            continue;
+        };
+        match scenario {
+            "flood_shedding_on" => {
+                if r.shed == 0 {
+                    failures.push("flood_shedding_on: the rate quota shed nothing".to_string());
                 }
-                "flood_shedding_off" => {
-                    if r.shed != 0 || r.ok != r.requests {
-                        failures.push(format!(
-                            "flood_shedding_off: {} shed / {} ok of {} without admission control",
-                            r.shed, r.ok, r.requests
-                        ));
-                    }
+            }
+            "flood_shedding_off" => {
+                if r.shed != 0 || r.ok != r.requests {
+                    failures.push(format!(
+                        "flood_shedding_off: {} shed / {} ok of {} without admission control",
+                        r.shed, r.ok, r.requests
+                    ));
                 }
-                _ => {
-                    if r.ok != r.requests {
-                        failures.push(format!(
-                            "shard_respawn: only {} of {} requests landed",
-                            r.ok, r.requests
-                        ));
-                    }
-                    match r.recovery_ms {
-                        Some(ms) if ms < 5_000.0 => {}
-                        Some(ms) => failures.push(format!(
-                            "shard_respawn: {ms:.0}ms to recover — the bar is 5000ms"
-                        )),
-                        None => {
-                            failures.push("shard_respawn: the planned kill never fired".to_string())
-                        }
+            }
+            _ => {
+                if r.ok != r.requests {
+                    failures.push(format!(
+                        "shard_respawn: only {} of {} requests landed",
+                        r.ok, r.requests
+                    ));
+                }
+                match r.recovery_ms {
+                    Some(ms) if ms < 5_000.0 => {}
+                    Some(ms) => failures.push(format!(
+                        "shard_respawn: {ms:.0}ms to recover — the bar is 5000ms"
+                    )),
+                    None => {
+                        failures.push("shard_respawn: the planned kill never fired".to_string())
                     }
                 }
             }
         }
-        if report.meta.git_rev == "unknown" {
-            failures.push(
-                "meta.git_rev is \"unknown\" — the checked record must name its revision"
-                    .to_string(),
-            );
+    }
+}
+
+fn main() {
+    let mut output = "BENCH_scaling.json".to_string();
+    let mut quick = false;
+    let mut check_run = false;
+    let mut it = std::env::args().skip(1);
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--output" => output = it.next().expect("--output needs a path"),
+            "--quick" => quick = true,
+            "--check" => check_run = true,
+            "--help" | "-h" => {
+                println!("usage: scaling [--output PATH] [--quick] [--check]");
+                return;
+            }
+            other => {
+                eprintln!("unknown argument: {other}");
+                std::process::exit(2);
+            }
         }
+    }
+
+    // Struct fields evaluate in order, so the sections run top to bottom.
+    let report = Report {
+        meta: meta(quick),
+        rows: kernel_rows(quick),
+        algorithms: algorithm_rows(quick),
+        online: online_rows(quick),
+        defrag: defrag_rows(quick),
+        exact: exact_rows(quick),
+        batch: batch_rows(quick),
+        server: server_rows(quick),
+        durability: durability_rows(quick),
+        recovery: recovery_rows(quick),
+        server_load: server_load_rows(quick),
+        resilience: resilience_rows(quick),
+    };
+    // The record has one row per line, so it doubles as the console summary.
+    let text = render(&report);
+    std::fs::write(&output, &text).expect("write output");
+    print!("{text}");
+    println!("wrote {output}");
+
+    if check_run {
+        let failures = check(&report, quick);
         if failures.is_empty() {
-            println!(
-                "check passed: adaptive rows within tolerance, defragmentation \
-                 never raised a cost"
-            );
+            println!("check passed: every gate holds");
         } else {
             for f in &failures {
                 eprintln!("check failed: {f}");
             }
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde::Value;
+
+    fn load_row(framing: &str, pipeline_depth: usize, requests_per_sec: f64) -> LoadRow {
+        LoadRow {
+            framing: framing.to_string(),
+            tenants: LOAD_TENANTS,
+            connections: LOAD_TENANTS,
+            pipeline_depth,
+            requests: 2_000,
+            secs: 2_000.0 / requests_per_sec,
+            requests_per_sec,
+            p50_us: 50.0,
+            p99_us: 100.0,
+            p999_us: 150.0,
+            max_us: 200.0,
+            speedup_vs_ndjson_depth1: None,
+        }
+    }
+
+    fn resilience_row(scenario: &str, shed: usize, recovery_ms: Option<f64>) -> ResilienceRow {
+        ResilienceRow {
+            scenario: scenario.to_string(),
+            requests: 100,
+            ok: if scenario == "flood_shedding_on" {
+                100 - shed
+            } else {
+                100
+            },
+            shed,
+            secs: 0.01,
+            recovery_ms,
+        }
+    }
+
+    /// A one-row-per-section report that passes every `--quick` gate.
+    fn passing_report() -> Report {
+        let mut server_load = vec![
+            load_row("ndjson", 1, 40_000.0),
+            load_row("ndjson", 8, 100_000.0),
+            load_row("binary", 1, 50_000.0),
+            load_row("binary", 8, 200_000.0),
+        ];
+        annotate_speedups(&mut server_load);
+        Report {
+            meta: Meta {
+                git_rev: "abc1234".to_string(),
+                threads_default: 2,
+                available_parallelism: 2,
+                parallelism: 2,
+                profile: "release".to_string(),
+                quick: true,
+                trials: 3,
+                trials_small_n: 11,
+            },
+            rows: vec![Row {
+                adaptive_secs: Some(0.001),
+                adaptive_speedup: Some(1.0),
+                ..Row::new(
+                    "first_fit_arrival/proper_dense".into(),
+                    4_000,
+                    0.001,
+                    Some(0.002),
+                )
+            }],
+            algorithms: vec![AlgorithmRow {
+                bench: "e1_clique_matching".to_string(),
+                n: 20,
+                capacity: 2,
+                secs: 1e-4,
+            }],
+            online: vec![OnlineRow {
+                bench: "online_mixed/poisson_heavy_tail".to_string(),
+                policy: "first-fit".to_string(),
+                jobs: 100,
+                events: 200,
+                capacity: CAPACITY,
+                secs: 1e-4,
+                events_per_sec: 2e6,
+                peak_cost: 90,
+                final_cost: 0,
+                offline_cost: None,
+                cost_ratio: None,
+            }],
+            defrag: vec![DefragRow {
+                family: "poisson_uniform".to_string(),
+                policy: "first-fit".to_string(),
+                jobs: 1_500,
+                capacity: CAPACITY,
+                cuts: 5,
+                live_jobs: 84,
+                cost_before: 130,
+                cost_after: 100,
+                offline_cost: 100,
+                ratio_before: 1.3,
+                ratio_after: 1.0,
+                moves: 24,
+                compact_secs: 0.001,
+                valid: true,
+            }],
+            exact: vec![ExactRow {
+                family: "general".to_string(),
+                jobs: 20,
+                capacity: 4,
+                lower: 200,
+                upper: 200,
+                optimal: true,
+                nodes: 10,
+                gap: 0.0,
+                secs: 0.001,
+                dp_cost: Some(200),
+                online_cost: 220,
+                online_to_opt: 1.1,
+                defrag_cost: 210,
+                defrag_to_opt: 1.05,
+                moves: 2,
+            }],
+            batch: vec![BatchRow {
+                instances: 200,
+                jobs_per_instance: 60,
+                threads: 1,
+                secs: 0.01,
+                speedup_vs_1_thread: 1.0,
+            }],
+            server: vec![ServerRow {
+                tenants: 4,
+                clients: 4,
+                requests: 4_000,
+                shards: 1,
+                secs: 0.01,
+                requests_per_sec: 400_000.0,
+                speedup_vs_1_shard: 1.0,
+            }],
+            durability: [(None, 1.0), (Some(64), 0.6)]
+                .into_iter()
+                .map(|(fsync_batch, ratio)| DurabilityRow {
+                    mode: fsync_batch.map_or("in-memory".to_string(), |b| format!("wal-fsync-{b}")),
+                    fsync_batch,
+                    tenants: 4,
+                    requests: 2_000,
+                    secs: 0.01 / ratio,
+                    requests_per_sec: 200_000.0 * ratio,
+                    throughput_vs_in_memory: ratio,
+                })
+                .collect(),
+            recovery: vec![RecoveryRow {
+                log_events: 1_000,
+                compacted: false,
+                recovery_secs: 0.002,
+                events_per_sec: Some(500_000.0),
+            }],
+            server_load,
+            resilience: vec![
+                resilience_row("flood_shedding_on", 75, None),
+                resilience_row("flood_shedding_off", 0, None),
+                resilience_row("shard_respawn", 1, Some(2.0)),
+            ],
+        }
+    }
+
+    /// `check` reports exactly one failure, and it names `needle`.
+    fn fails_once_with(report: &Report, needle: &str) {
+        let failures = check(report, true);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains(needle), "{failures:?}");
+    }
+
+    #[test]
+    fn the_fixture_passes_every_gate() {
+        assert_eq!(check(&passing_report(), true), Vec::<String>::new());
+    }
+
+    #[test]
+    fn an_adaptive_row_below_the_band_fails() {
+        let mut report = passing_report();
+        report.rows[0].adaptive_speedup = Some(1.0 - ADAPTIVE_PARITY_TOLERANCE - 0.01);
+        fails_once_with(&report, "below the 0.70x tolerance band");
+    }
+
+    #[test]
+    fn compaction_raising_a_cost_fails() {
+        let mut report = passing_report();
+        report.defrag[0].cost_after = report.defrag[0].cost_before + 1;
+        fails_once_with(
+            &report,
+            "defrag poisson_uniform first-fit: compaction raised the cost",
+        );
+
+        let mut report = passing_report();
+        report.exact[0].defrag_cost = report.exact[0].online_cost + 1;
+        fails_once_with(&report, "exact general n=20: compaction raised the cost");
+    }
+
+    #[test]
+    fn branch_and_bound_disagreeing_with_the_dp_fails() {
+        let mut report = passing_report();
+        report.exact[0].dp_cost = Some(report.exact[0].upper - 1);
+        fails_once_with(&report, "disagrees with the subset-DP optimum");
+    }
+
+    #[test]
+    fn the_best_binary_cell_slower_than_the_best_ndjson_cell_fails() {
+        let mut report = passing_report();
+        // Binary still clears the parity bar against NDJSON depth 1; only the
+        // best-vs-best gate trips.
+        report.server_load[1].requests_per_sec = 250_000.0;
+        annotate_speedups(&mut report.server_load);
+        fails_once_with(&report, "is slower than the best ndjson cell");
+    }
+
+    #[test]
+    fn a_flood_that_sheds_nothing_fails() {
+        let mut report = passing_report();
+        report.resilience[0] = resilience_row("flood_shedding_on", 0, None);
+        fails_once_with(&report, "the rate quota shed nothing");
+    }
+
+    #[test]
+    fn the_report_writer_emits_one_row_per_line_in_section_order() {
+        struct Raw(Value);
+        impl serde::Deserialize for Raw {
+            fn deserialize(value: &Value) -> Result<Self, serde::Error> {
+                Ok(Raw(value.clone()))
+            }
+        }
+        let parse = |text: &str| serde_json::from_str::<Raw>(text).expect("valid JSON").0;
+        let sections = [
+            "rows",
+            "algorithms",
+            "online",
+            "defrag",
+            "exact",
+            "batch",
+            "server",
+            "durability",
+            "recovery",
+            "server_load",
+            "resilience",
+        ];
+        let text = render(&passing_report());
+
+        let mut headers = Vec::new();
+        let mut row_lines = 0;
+        for line in text.lines() {
+            if let Some(name) = line
+                .strip_prefix("  \"")
+                .and_then(|rest| rest.strip_suffix("\": ["))
+            {
+                headers.push(name);
+            } else if let Some(row) = line.strip_prefix("    ") {
+                let row = row.strip_suffix(',').unwrap_or(row);
+                assert!(matches!(parse(row), Value::Object(_)), "{line}");
+                row_lines += 1;
+            }
+        }
+        assert_eq!(headers, sections);
+
+        let Value::Object(fields) = parse(&text) else {
+            panic!("the report is not a JSON object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(keys[0], "meta");
+        assert_eq!(keys[1..], sections);
+        let parsed_rows: usize = fields[1..]
+            .iter()
+            .map(|(key, value)| match value {
+                Value::Array(rows) if !rows.is_empty() => rows.len(),
+                other => panic!("section {key} is not a non-empty array: {other:?}"),
+            })
+            .sum();
+        assert_eq!(parsed_rows, row_lines);
     }
 }

@@ -3,13 +3,15 @@
 //! The experiment harness of the `busytime` workspace.  The paper *"Optimizing Busy Time
 //! on Parallel Machines"* has no empirical evaluation section — its results are theorems —
 //! so the harness validates every theorem-level claim empirically and reproduces the one
-//! concrete construction in the paper (Figure 3).  See `DESIGN.md` (per-experiment index)
-//! and `EXPERIMENTS.md` (recorded results) at the workspace root.
+//! concrete construction in the paper (Figure 3).  Each experiment's id, claim and
+//! measured rows are listed by the `experiments` binary.
 //!
 //! * `cargo run -p busytime-bench --bin experiments --release` prints every experiment
 //!   table and an overall pass/fail summary (optionally writing JSON).
-//! * `cargo bench -p busytime-bench` runs the Criterion benchmarks measuring the running
-//!   time shape of every algorithm (S1 in DESIGN.md).
+//! * `cargo run -p busytime-bench --bin scaling --release` is the performance harness:
+//!   it times every algorithm on its own instance class, the kernel against its scan
+//!   references, and the online engine, server, WAL and wire, writing
+//!   `BENCH_scaling.json` (`--check` gates the run).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

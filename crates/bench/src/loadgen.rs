@@ -2,19 +2,17 @@
 //! configurable tenants × connections × pipeline depths over both framings, and
 //! reports throughput plus p50/p99/p999 request latency.
 //!
-//! This is the measurement half of the wire-gap work (PR 7): the in-process
-//! engine absorbs millions of events per second, so the interesting question is
-//! how much of that survives the socket.  Each connection runs on its own thread
-//! with its own [`Client`], drives a disjoint set of tenants (per-tenant event
-//! order is preserved because one connection owns each tenant), keeps a window of
-//! `pipeline_depth` requests in flight, and timestamps every request at send and
-//! at response — so the latency numbers include queueing inside the window, which
-//! is the latency a pipelining application actually observes.
+//! The in-process engine absorbs millions of events per second, so the
+//! interesting question is how much of that survives the socket.  Each
+//! connection runs on its own thread with its own [`Client`], drives a disjoint
+//! set of tenants (per-tenant event order is preserved because one connection
+//! owns each tenant), keeps a window of `pipeline_depth` requests in flight, and
+//! timestamps every request at send and at response — so the latency numbers
+//! include queueing inside the window, which is the latency a pipelining
+//! application actually observes.
 //!
-//! The `loadgen` binary wraps this module for the command line; the `scaling`
-//! benchmark calls [`run_spec`] directly to fill the `server_load` section of
-//! `BENCH_scaling.json`; the CI `server-load-smoke` job runs the binary briefly
-//! in both framings and asserts binary ≥ NDJSON throughput.
+//! The `scaling` benchmark calls [`run_matrix`] to fill the `server_load`
+//! section of `BENCH_scaling.json`, and its `--check` gates the matrix.
 
 use std::collections::VecDeque;
 use std::net::TcpListener;
@@ -77,21 +75,16 @@ pub struct LoadRow {
 }
 
 /// Spawn a fresh in-memory registry served on an ephemeral loopback port (the
-/// self-contained mode of the `loadgen` binary and the `scaling` benchmark).
+/// self-contained mode of the `scaling` benchmark).
 ///
 /// Returns the server handle (drop it to stop accepting; its `addr()` is where
 /// clients connect) and the registry.  Dropping the handle *before* the
 /// registry makes [`Registry::shutdown`] safe: the accept loop's engine clone
 /// is gone, so the join returns as soon as the last connection closes.
 pub fn spawn_loopback(shards: usize) -> (ServerHandle, Registry) {
-    spawn_loopback_with(RegistryConfig::new(shards))
-}
-
-/// [`spawn_loopback`] with a full [`RegistryConfig`] — admission control and
-/// fault plans included (the resilience benchmarks use both).
-pub fn spawn_loopback_with(config: RegistryConfig) -> (ServerHandle, Registry) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
-    let registry = Registry::with_config(config).expect("spawning the registry");
+    let registry =
+        Registry::with_config(RegistryConfig::new(shards)).expect("spawning the registry");
     let server = spawn(listener, registry.engine()).expect("spawning the accept loop");
     (server, registry)
 }

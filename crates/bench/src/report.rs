@@ -1,5 +1,5 @@
-//! Experiment reports: the rows printed by the `experiments` binary and recorded in
-//! `EXPERIMENTS.md`.
+//! Experiment reports: the rows printed by the `experiments` binary (and written by its
+//! `--json` option).
 
 use serde::{Deserialize, Serialize};
 
@@ -38,7 +38,7 @@ impl Row {
     }
 }
 
-/// A full experiment: id (matching DESIGN.md / EXPERIMENTS.md), title, the claim being
+/// A full experiment: id (as printed by the `experiments` binary), title, the claim being
 /// validated, and the measured rows.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentReport {

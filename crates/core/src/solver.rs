@@ -10,8 +10,8 @@
 //!   [`Problem::WeightedThroughput`], each owning its [`Instance`] (plus conversion
 //!   hooks from the [`crate::demand`] and [`crate::twodim`] models);
 //! * [`Solver`] — how to solve it: built with [`SolverBuilder`], carrying a
-//!   [`SolvePolicy`] that can force or forbid algorithms, demand exact solutions, bound
-//!   the set-cover candidate family and switch the unconditional fallbacks off;
+//!   [`SolvePolicy`] that can force an algorithm, demand exact solutions and bound
+//!   the set-cover candidate family;
 //! * [`Solution`] — the full answer: schedule, objective value, the [`Algorithm`] that
 //!   produced it, its proven guarantee, the Observation 2.1 bounds of the instance, and
 //!   a [`DispatchAttempt`] trace recording every algorithm that was considered and why
@@ -276,12 +276,6 @@ impl Algorithm {
         matches!(self, Algorithm::ExactSubsetDp | Algorithm::ExactBnB)
     }
 
-    /// `true` for the unconditional catch-all algorithms that
-    /// [`SolverBuilder::allow_fallback`] switches off.
-    pub fn is_fallback(self) -> bool {
-        matches!(self, Algorithm::FirstFit | Algorithm::ThroughputGreedy)
-    }
-
     /// The proven approximation guarantee on the algorithm's own instance class for
     /// capacity `g`, or `None` when the paper proves none (the greedy fallback).
     pub fn guarantee(self, g: usize) -> Option<f64> {
@@ -525,14 +519,10 @@ pub trait ExactOracle: Send + Sync {
 pub struct SolvePolicy {
     /// Run exactly this algorithm instead of auto-dispatching.
     pub force: Option<Algorithm>,
-    /// Algorithms the dispatcher must never run.
-    pub forbidden: Vec<Algorithm>,
     /// Only accept algorithms that are optimal on their instance class.
     pub require_exact: bool,
     /// Candidate-family limit for the set-cover algorithm (Lemma 3.2).
     pub set_family_limit: usize,
-    /// Whether the unconditional fallbacks (FirstFit / best-fit greedy) may run.
-    pub allow_fallback: bool,
     /// Node/time budget for the exponential exact backends (see [`ExactOracle`]).
     pub exact_budget: ExactBudget,
 }
@@ -541,10 +531,8 @@ impl Default for SolvePolicy {
     fn default() -> Self {
         SolvePolicy {
             force: None,
-            forbidden: Vec::new(),
             require_exact: false,
             set_family_limit: DEFAULT_SET_FAMILY_LIMIT,
-            allow_fallback: true,
             exact_budget: ExactBudget::default(),
         }
     }
@@ -567,7 +555,7 @@ impl fmt::Debug for SolverBuilder {
 }
 
 impl SolverBuilder {
-    /// Start from the default policy (auto-dispatch, fallbacks on).
+    /// Start from the default policy (auto-dispatch).
     pub fn new() -> Self {
         SolverBuilder::default()
     }
@@ -576,14 +564,6 @@ impl SolverBuilder {
     /// makes [`Solver::solve`] return a typed error instead of falling through.
     pub fn force_algorithm(mut self, algorithm: Algorithm) -> Self {
         self.policy.force = Some(algorithm);
-        self
-    }
-
-    /// Never run `algorithm` (may be called repeatedly).
-    pub fn forbid_algorithm(mut self, algorithm: Algorithm) -> Self {
-        if !self.policy.forbidden.contains(&algorithm) {
-            self.policy.forbidden.push(algorithm);
-        }
         self
     }
 
@@ -597,12 +577,6 @@ impl SolverBuilder {
     /// Cap the candidate-set family the Lemma 3.2 set-cover algorithm may enumerate.
     pub fn set_family_limit(mut self, limit: usize) -> Self {
         self.policy.set_family_limit = limit;
-        self
-    }
-
-    /// Allow (default) or disallow the unconditional fallback algorithms.
-    pub fn allow_fallback(mut self, yes: bool) -> Self {
-        self.policy.allow_fallback = yes;
         self
     }
 
@@ -685,19 +659,8 @@ impl Solver {
         let class = instance.classification();
         let mut trace = Vec::new();
         for &algorithm in Algorithm::candidates(kind) {
-            if self.policy.forbidden.contains(&algorithm) {
-                trace.push(DispatchAttempt::skipped(algorithm, SkipReason::Forbidden));
-                continue;
-            }
             if self.policy.require_exact && !algorithm.is_exact() {
                 trace.push(DispatchAttempt::skipped(algorithm, SkipReason::NotExact));
-                continue;
-            }
-            if !self.policy.allow_fallback && algorithm.is_fallback() {
-                trace.push(DispatchAttempt::skipped(
-                    algorithm,
-                    SkipReason::FallbackDisabled,
-                ));
                 continue;
             }
             if let Some(reason) = applicability_gap(algorithm, &class, instance) {
@@ -725,8 +688,8 @@ impl Solver {
     }
 
     /// Run the exact oracle after the polynomial candidates exhausted.  `None` means
-    /// nothing ran (no oracle, forbidden backend, or backend error) — the trace
-    /// records why and the caller falls through to [`SolveError::Exhausted`].
+    /// nothing ran (no oracle, or a backend error) — the trace records why and the
+    /// caller falls through to [`SolveError::Exhausted`].
     fn try_exact_oracle(
         &self,
         instance: &Instance,
@@ -758,10 +721,6 @@ impl Solver {
             ),
         };
         trace.push(DispatchAttempt::skipped(other, routing));
-        if self.policy.forbidden.contains(&chosen) {
-            trace.push(DispatchAttempt::skipped(chosen, SkipReason::Forbidden));
-            return None;
-        }
         match oracle.solve_min_busy(instance, &self.policy.exact_budget, backend) {
             Ok(ExactOutcome::Optimal { schedule, cost, .. }) => {
                 trace.push(DispatchAttempt::selected(chosen));
@@ -808,7 +767,7 @@ impl Solver {
     ///
     /// Online requests bypass the offline dispatch machinery — the paper analyses no
     /// online algorithm, so there is nothing to classify or force; the policy *is* the
-    /// algorithm.  The dispatch-policy knobs of [`SolvePolicy`] (force / forbid /
+    /// algorithm.  The dispatch-policy knobs of [`SolvePolicy`] (force /
     /// require-exact) therefore do not apply here.
     ///
     /// ```
@@ -864,14 +823,8 @@ impl Solver {
                 kind,
             });
         }
-        if self.policy.forbidden.contains(&forced) {
-            return Err(SolveError::ForcedForbidden { algorithm: forced });
-        }
         if self.policy.require_exact && !forced.is_exact() {
             return Err(SolveError::ForcedInexact { algorithm: forced });
-        }
-        if !self.policy.allow_fallback && forced.is_fallback() {
-            return Err(SolveError::ForcedFallbackDisabled { algorithm: forced });
         }
         if forced.is_exact_oracle() {
             return self.solve_forced_exact(forced, instance);
@@ -1181,12 +1134,8 @@ impl fmt::Display for AttemptOutcome {
 /// Why an algorithm was skipped during dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkipReason {
-    /// The policy forbids the algorithm.
-    Forbidden,
     /// The policy requires exact algorithms and this one is approximate.
     NotExact,
-    /// The policy disables the unconditional fallbacks.
-    FallbackDisabled,
     /// The instance is outside the algorithm's class.
     ClassMismatch {
         /// The class the algorithm requires.
@@ -1210,9 +1159,7 @@ pub enum SkipReason {
 impl fmt::Display for SkipReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SkipReason::Forbidden => write!(f, "forbidden by policy"),
             SkipReason::NotExact => write!(f, "not exact, but the policy requires exactness"),
-            SkipReason::FallbackDisabled => write!(f, "fallbacks disabled by policy"),
             SkipReason::ClassMismatch { required } => {
                 write!(f, "instance is not {required}")
             }
@@ -1273,18 +1220,8 @@ pub enum SolveError {
         /// The kind of the request.
         kind: ProblemKind,
     },
-    /// A forced algorithm is also forbidden by the same policy.
-    ForcedForbidden {
-        /// The conflicting algorithm.
-        algorithm: Algorithm,
-    },
     /// A forced algorithm is approximate but the policy requires exactness.
     ForcedInexact {
-        /// The forced algorithm.
-        algorithm: Algorithm,
-    },
-    /// A forced algorithm is an unconditional fallback but the policy disables them.
-    ForcedFallbackDisabled {
         /// The forced algorithm.
         algorithm: Algorithm,
     },
@@ -1337,19 +1274,9 @@ impl fmt::Display for SolveError {
                 "algorithm {algorithm} solves {} problems, not {kind}",
                 algorithm.problem_kind()
             ),
-            SolveError::ForcedForbidden { algorithm } => {
-                write!(
-                    f,
-                    "algorithm {algorithm} is both forced and forbidden by the policy"
-                )
-            }
             SolveError::ForcedInexact { algorithm } => write!(
                 f,
                 "algorithm {algorithm} is approximate but the policy requires exact solutions"
-            ),
-            SolveError::ForcedFallbackDisabled { algorithm } => write!(
-                f,
-                "algorithm {algorithm} is a fallback but the policy disables fallbacks"
             ),
             SolveError::ForcedFailed { algorithm, error } => {
                 write!(f, "forced algorithm {algorithm} failed: {error}")
@@ -1494,22 +1421,6 @@ mod tests {
     }
 
     #[test]
-    fn forbidding_reroutes_dispatch() {
-        let solver = Solver::builder()
-            .forbid_algorithm(Algorithm::ProperCliqueDp)
-            .build();
-        let solution = solver.solve_min_busy(&proper_clique()).unwrap();
-        assert_eq!(solution.algorithm, Algorithm::CliqueMatching);
-        assert!(matches!(
-            solution.trace[1],
-            DispatchAttempt {
-                algorithm: Algorithm::ProperCliqueDp,
-                outcome: AttemptOutcome::Skipped(SkipReason::Forbidden)
-            }
-        ));
-    }
-
-    #[test]
     fn require_exact_rejects_general_instances() {
         let solver = Solver::builder().require_exact(true).build();
         let solution = solver.solve_min_busy(&proper_clique()).unwrap();
@@ -1530,26 +1441,6 @@ mod tests {
             }
             other => panic!("expected Exhausted, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn fallback_off_means_no_first_fit() {
-        let solver = Solver::builder().allow_fallback(false).build();
-        let err = solver.solve_min_busy(&general()).unwrap_err();
-        assert!(matches!(err, SolveError::Exhausted { .. }));
-        let ok = solver.solve_min_busy(&proper_clique()).unwrap();
-        assert_ne!(ok.algorithm, Algorithm::FirstFit);
-        // Forcing a fallback cannot override the same policy's fallback ban.
-        let forced = Solver::builder()
-            .allow_fallback(false)
-            .force_algorithm(Algorithm::FirstFit)
-            .build();
-        assert_eq!(
-            forced.solve_min_busy(&general()).unwrap_err(),
-            SolveError::ForcedFallbackDisabled {
-                algorithm: Algorithm::FirstFit
-            }
-        );
     }
 
     #[test]

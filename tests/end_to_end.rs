@@ -151,7 +151,7 @@ fn parallel_batch_agrees_with_sequential() {
     assert_eq!(costs.len(), instances.len());
 }
 
-/// Policy knobs behave end to end: forcing, forbidding and exact-only dispatch.
+/// Policy knobs behave end to end: forcing and exact-only dispatch.
 #[test]
 fn policies_behave_end_to_end() {
     let mut rng = StdRng::seed_from_u64(6);
@@ -178,14 +178,6 @@ fn policies_behave_end_to_end() {
         }
         other => panic!("expected ForcedFailed, got {other:?}"),
     }
-
-    // Forbidding the winner reroutes to the next applicable algorithm.
-    let reroute = Solver::builder()
-        .forbid_algorithm(Algorithm::ProperCliqueDp)
-        .build();
-    let rerouted = reroute.solve(&problem).unwrap();
-    assert_ne!(rerouted.algorithm, Algorithm::ProperCliqueDp);
-    rerouted.schedule.validate_complete(&pc).unwrap();
 
     // Exact-only without an installed oracle reports a full trace instead of
     // approximating: every polynomial candidate plus both rejected exact backends.
