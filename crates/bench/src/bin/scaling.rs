@@ -692,12 +692,19 @@ fn algorithm_cases(quick: bool) -> Vec<AlgorithmCase> {
             clique_matching(&inst).unwrap()
         }));
     }
-    for g in grid(quick, &[2, 3, 4]) {
-        let inst = clique_instance(&mut rng(), 16, g, 1_000);
-        cases.push(case("e2_clique_set_cover", 16, g, move || {
+    // n = 48 at g = 4 is the clique shape the `offline_solve` benchmark draws.
+    for (n, g) in grid(quick, &[(16, 2), (16, 3), (16, 4), (48, 4)]) {
+        let inst = clique_instance(&mut rng(), n, g, 1_000);
+        cases.push(case("e2_clique_set_cover", n, g, move || {
             clique_set_cover(&inst).unwrap()
         }));
     }
+    // FirstFit in its canonical length order on a large heavy-tailed cloud trace,
+    // where machines saturate and most probes are rejections.
+    let cloud = cloud_trace(&mut rng(), 20_000, 10, 2, 1, 400);
+    cases.push(case("first_fit_by_length/cloud", 20_000, 10, move || {
+        first_fit(&cloud)
+    }));
     for n in grid(quick, &[1_000, 10_000, 50_000]) {
         let inst = proper_instance(&mut rng(), n, 5, 50, 10);
         cases.push(case("e3_best_cut", n, 5, move || best_cut(&inst).unwrap()));

@@ -14,19 +14,30 @@
 //! deduplicated without breaking the analysis, and the partition mode is exactly what the
 //! paper's accounting `weight(s) = cost(s) − len(J)/g` assumes.
 //!
-//! The candidate family has `Σ_{k≤g} C(n,k)` sets, so the algorithm is intended for small
-//! fixed `g` (the paper notes the ratio stays below 2 for `g ≤ 6`).  A configurable limit
-//! guards against accidental exponential blow-ups.
+//! The greedy never materialises the candidate family.  Set weights are static and the
+//! partition mode makes a candidate eligible exactly while all of its jobs are
+//! unscheduled, so the eligible sets at each pick are the subsets of at most `g`
+//! still-unscheduled jobs.  Each pick re-runs one lexicographic depth-first enumeration
+//! over those jobs — span and length carried incrementally — and keeps only the best set
+//! so far.  Restricting the enumeration to a sorted sub-list preserves the relative order
+//! of the surviving subsets, so the picks, ties included, are those of the generic greedy
+//! [`busytime_graph::greedy_set_partition`] over the explicit family.
+//!
+//! The family has `Σ_{k≤g} C(n,k)` sets and every pick enumerates the part of it that is
+//! still eligible, so the algorithm is intended for small fixed `g` (the paper notes the
+//! ratio stays below 2 for `g ≤ 6`).  A configurable limit on the family size guards
+//! against accidental exponential blow-ups; it bounds running time, since no set is ever
+//! stored.
 
-use busytime_graph::{greedy_set_partition, WeightedSet};
-use busytime_interval::{hull, span, Interval};
+use busytime_interval::Interval;
 
 use crate::error::Error;
 use crate::instance::Instance;
 use crate::schedule::Schedule;
 
-/// Default limit on the number of candidate sets enumerated by
-/// [`clique_set_cover`].
+/// Default limit on the size `Σ_{k≤g} C(n,k)` of the candidate family of
+/// [`clique_set_cover`].  Each pick enumerates what is left of the family, so the
+/// limit bounds running time.
 pub const DEFAULT_SET_FAMILY_LIMIT: usize = 2_000_000;
 
 /// The approximation guarantee `g·H_g / (H_g + g − 1)` of Lemma 3.2.
@@ -58,42 +69,57 @@ pub fn clique_set_cover_with_limit(instance: &Instance, limit: usize) -> Result<
         return Err(Error::SetFamilyTooLarge { required, limit });
     }
 
-    // Enumerate all subsets of size 1..=g with the shifted weight g·span(Q) − len(Q).
     // Every subset of a clique instance is itself a clique, so its span is simply the
     // hull length (latest completion − earliest start); with jobs sorted by start the
     // earliest start is the first chosen job's, and the latest completion and total
     // length are carried incrementally through the enumeration — no per-subset
     // re-unioning.
-    let jobs = instance.jobs();
-    let g_i64 = instance.capacity() as i64;
-    let mut sets: Vec<WeightedSet> = Vec::with_capacity(required);
-    let mut current: Vec<usize> = Vec::with_capacity(g);
-    enumerate_subsets(
-        n,
-        g,
-        jobs,
-        &mut current,
-        &mut |subset, span_ticks, len_ticks| {
-            let weight = g_i64 * span_ticks - len_ticks;
-            debug_assert!(weight >= 0, "span ≥ len/g for every set of ≤ g intervals");
-            sets.push(WeightedSet::new(subset.to_vec(), weight));
-        },
-    );
-
+    //
     // The greedy must build a *partition* (disjoint picks): the shifted weight
     // span(Q) − len(Q)/g is not monotone under dropping elements, so converting an
     // overlapping cover into a schedule could exceed the weight the H_g analysis charges
     // (and measurably violates the Lemma 3.2 bound in the E2 experiment of the
-    // `experiments` binary).  The all-subsets family is closed under subsets, so a
-    // partition always exists.
-    let cover = greedy_set_partition(n, &sets).expect("singletons make the universe coverable");
-
+    // `experiments` binary).  Each pick therefore chooses among the subsets of the jobs
+    // still unscheduled, which always include the singletons.
+    let jobs = instance.jobs();
+    let g_i64 = instance.capacity() as i64;
+    let mut unscheduled: Vec<usize> = (0..n).collect();
+    let mut current: Vec<usize> = Vec::with_capacity(g);
+    let mut best_set: Vec<usize> = Vec::with_capacity(g);
     let mut schedule = Schedule::empty(n);
-    for (machine, &set_idx) in cover.chosen.iter().enumerate() {
-        for &job in &sets[set_idx].elements {
+    let mut machine = 0;
+    while !unscheduled.is_empty() {
+        // Lowest ratio weight/size by exact cross-multiplication, then the larger set,
+        // then the first set in enumeration order — the tie-breaks of
+        // `greedy_set_partition`.
+        let mut best: Option<(i64, usize)> = None;
+        enumerate_subsets(
+            &unscheduled,
+            g,
+            jobs,
+            &mut current,
+            &mut |subset, span_ticks, len_ticks| {
+                let weight = g_i64 * span_ticks - len_ticks;
+                debug_assert!(weight >= 0, "span ≥ len/g for every set of ≤ g intervals");
+                let size = subset.len();
+                let better = best.is_none_or(|(best_weight, best_size)| {
+                    let lhs = weight as i128 * best_size as i128;
+                    let rhs = best_weight as i128 * size as i128;
+                    lhs < rhs || (lhs == rhs && size > best_size)
+                });
+                if better {
+                    best = Some((weight, size));
+                    best_set.clear();
+                    best_set.extend_from_slice(subset);
+                }
+            },
+        );
+        for &job in &best_set {
             debug_assert!(!schedule.is_scheduled(job), "partition picks are disjoint");
             schedule.assign(job, machine);
         }
+        unscheduled.retain(|job| !best_set.contains(job));
+        machine += 1;
     }
     Ok(schedule)
 }
@@ -113,18 +139,19 @@ fn count_subsets_up_to(n: usize, g: usize, limit: usize) -> usize {
     total
 }
 
-/// Enumerate all subsets of `{0..n}` of size 1..=g in lexicographic order, invoking the
-/// callback with each subset plus its clique span and total length in ticks (maintained
-/// incrementally; `jobs` must be sorted by start, as in an [`Instance`]).
+/// Enumerate all subsets of `pool` of size 1..=g in lexicographic order (by position
+/// in `pool`), invoking the callback with each subset of job indices plus its clique
+/// span and total length in ticks (maintained incrementally; `jobs` must be sorted by
+/// start, as in an [`Instance`], and `pool` ascending).
 fn enumerate_subsets(
-    n: usize,
+    pool: &[usize],
     g: usize,
     jobs: &[Interval],
     current: &mut Vec<usize>,
     f: &mut impl FnMut(&[usize], i64, i64),
 ) {
     struct Ctx<'a, F> {
-        n: usize,
+        pool: &'a [usize],
         g: usize,
         jobs: &'a [Interval],
         f: F,
@@ -144,33 +171,76 @@ fn enumerate_subsets(
         if current.len() == ctx.g {
             return;
         }
-        for next in start..ctx.n {
+        for pos in start..ctx.pool.len() {
+            let next = ctx.pool[pos];
             current.push(next);
             let end = ctx.jobs[next].end().ticks();
             let len = ctx.jobs[next].len().ticks();
-            rec(ctx, next + 1, max_end.max(end), total_len + len, current);
+            rec(ctx, pos + 1, max_end.max(end), total_len + len, current);
             current.pop();
         }
     }
 
-    let mut ctx = Ctx { n, g, jobs, f };
+    let mut ctx = Ctx { pool, g, jobs, f };
     rec(&mut ctx, 0, i64::MIN, 0, current);
-}
-
-/// Sanity check used in docs and tests: the hull of a clique set equals its span interval.
-#[allow(dead_code)]
-fn clique_span_is_hull(ivs: &[Interval]) -> bool {
-    match hull(ivs) {
-        Some(h) => span(ivs) == h.len(),
-        None => true,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounds::lower_bound;
-    use busytime_interval::Duration;
+    use busytime_graph::{greedy_set_partition, WeightedSet};
+    use busytime_interval::{span, Duration};
+    use proptest::prelude::*;
+
+    /// The materialised path the per-pick enumeration replaced: build the whole
+    /// weighted family once, then run the generic partition greedy over it.
+    fn materialised_family_schedule(instance: &Instance) -> Schedule {
+        let n = instance.len();
+        let g = instance.capacity().min(n.max(1));
+        let g_i64 = instance.capacity() as i64;
+        let pool: Vec<usize> = (0..n).collect();
+        let mut sets = Vec::new();
+        enumerate_subsets(
+            &pool,
+            g,
+            instance.jobs(),
+            &mut Vec::new(),
+            &mut |subset, sp, ln| {
+                sets.push(WeightedSet::new(subset.to_vec(), g_i64 * sp - ln));
+            },
+        );
+        let cover = greedy_set_partition(n, &sets).expect("singletons cover everything");
+        let mut schedule = Schedule::empty(n);
+        for (machine, &set) in cover.chosen.iter().enumerate() {
+            for &job in &sets[set].elements {
+                schedule.assign(job, machine);
+            }
+        }
+        schedule
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Per-pick enumeration picks exactly the sets the materialised family greedy
+        /// picks, ties included: sides of at most 2 ticks make most weights collide.
+        #[test]
+        fn matches_materialised_family_greedy(
+            g in 2usize..=5,
+            tie_heavy in any::<bool>(),
+            sides in prop::collection::vec((1i64..=40, 1i64..=40), 1..=18),
+        ) {
+            let max_side = if tie_heavy { 2 } else { 40 };
+            let jobs: Vec<(i64, i64)> = sides
+                .iter()
+                .map(|&(l, r)| (-(1 + (l - 1) % max_side), 1 + (r - 1) % max_side))
+                .collect();
+            let inst = Instance::from_ticks(&jobs, g);
+            let schedule = clique_set_cover(&inst).unwrap();
+            prop_assert_eq!(schedule, materialised_family_schedule(&inst));
+        }
+    }
 
     #[test]
     fn guarantee_values_match_paper() {
@@ -189,7 +259,8 @@ mod tests {
     fn subset_enumeration_counts_and_aggregates() {
         let jobs: Vec<Interval> = (0..5).map(|i| Interval::from_ticks(i, i + 10)).collect();
         let mut count = 0usize;
-        enumerate_subsets(5, 2, &jobs, &mut Vec::new(), &mut |subset, sp, ln| {
+        let pool: Vec<usize> = (0..5).collect();
+        enumerate_subsets(&pool, 2, &jobs, &mut Vec::new(), &mut |subset, sp, ln| {
             count += 1;
             let ivs: Vec<Interval> = subset.iter().map(|&i| jobs[i]).collect();
             assert_eq!(sp, span(&ivs).ticks());
@@ -230,13 +301,27 @@ mod tests {
     fn family_limit_enforced() {
         let jobs: Vec<(i64, i64)> = (0..30).map(|i| (i, 100 + i)).collect();
         let inst = Instance::from_ticks(&jobs, 5);
-        match clique_set_cover_with_limit(&inst, 1000).unwrap_err() {
-            Error::SetFamilyTooLarge { required, limit } => {
-                assert!(required > 1000);
-                assert_eq!(limit, 1000);
+        // The count saturates at the first binomial term past the limit.
+        assert_eq!(
+            clique_set_cover_with_limit(&inst, 1000).unwrap_err(),
+            Error::SetFamilyTooLarge {
+                required: 30 + 435 + 4060,
+                limit: 1000
             }
-            other => panic!("unexpected error {other:?}"),
-        }
+        );
+        // The limit is inclusive of the whole family: Σ_{k≤3} C(10,k) = 175.
+        let small = Instance::from_ticks(&jobs[..10], 3);
+        assert_eq!(
+            clique_set_cover_with_limit(&small, 174).unwrap_err(),
+            Error::SetFamilyTooLarge {
+                required: 175,
+                limit: 174
+            }
+        );
+        clique_set_cover_with_limit(&small, 175)
+            .unwrap()
+            .validate_complete(&small)
+            .unwrap();
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   point/range queries and the derived aggregates (max depth, span, union, per-depth
 //!   lengths).
 //! * [`SweepSet`] — an incremental profile supporting interval insertion *and* removal
-//!   in `O((k + 1) log n)` (where `k` is the number of segment boundaries inside the
-//!   updated window) while maintaining the running maximum depth and covered length.
+//!   in `O(k + log n)` without allocating (where `k` is the number of segment
+//!   boundaries inside the updated window) while maintaining the maximum depth, read
+//!   in `O(1)`, and the covered length.
 //! * [`SortedSweep`] — a streaming profile for intervals pushed in non-decreasing start
 //!   order (the order `Instance` stores jobs in), maintaining span and maximum depth in
 //!   `O(log d)` per push, where `d` is the current depth.
@@ -260,21 +261,58 @@ impl DepthProfile {
 /// An incremental depth profile over the timeline: intervals can be inserted and
 /// removed while the maximum depth and the covered length (span) are maintained.
 ///
-/// Internally a piecewise-constant depth map keyed by segment boundary, plus a
-/// histogram of positive segment depths so that the running maximum survives
-/// removals.  An update touches only the boundaries inside the changed window.
+/// Internally a piecewise-constant depth map keyed by segment boundary, kept
+/// *canonical*: every boundary changes the depth, so the map holds exactly the points
+/// where a fresh [`DepthProfile`] of the live intervals changes depth, never a stale
+/// endpoint of an interval that was merged into its neighbours or removed.  Next to it
+/// sits a depth-indexed histogram of positive segment depths with a running top, so
+/// [`SweepSet::max_depth`] is `O(1)` and survives removals.  An update walks only the
+/// boundaries inside the changed window and allocates nothing once the histogram has
+/// grown to the deepest depth seen.
 #[derive(Debug, Clone, Default)]
 pub struct SweepSet {
     /// `segs[b]` is the depth of the segment `[b, next boundary)`.  The segment after
     /// the last boundary (and before the first) has depth 0; the last boundary always
-    /// carries depth 0.
+    /// carries depth 0, and no boundary carries its predecessor's depth.
     segs: BTreeMap<i64, u32>,
     /// How many segments currently sit at each positive depth.
-    depth_counts: BTreeMap<u32, usize>,
+    depths: DepthHistogram,
     /// Total length of all segments with positive depth.
     busy: i64,
     /// Number of intervals currently in the set.
     intervals: usize,
+}
+
+/// Segment counts indexed by depth (index 0 unused) plus the highest depth with a
+/// nonzero count.  An update shifts the depths it touches by one, so the top moves by
+/// at most one level per update.
+#[derive(Debug, Clone, Default)]
+struct DepthHistogram {
+    counts: Vec<usize>,
+    top: usize,
+}
+
+impl DepthHistogram {
+    fn inc(&mut self, depth: u32) {
+        let d = depth as usize;
+        if d >= self.counts.len() {
+            self.counts.resize(d + 1, 0);
+        }
+        self.counts[d] += 1;
+        self.top = self.top.max(d);
+    }
+
+    fn dec(&mut self, depth: u32) {
+        let d = depth as usize;
+        debug_assert!(
+            self.counts.get(d).is_some_and(|&c| c > 0),
+            "depth histogram out of sync"
+        );
+        self.counts[d] -= 1;
+        while self.top > 0 && self.counts[self.top] == 0 {
+            self.top -= 1;
+        }
+    }
 }
 
 impl SweepSet {
@@ -293,12 +331,16 @@ impl SweepSet {
         self.intervals == 0
     }
 
-    /// Current maximum coverage depth.
+    /// Number of segments between the map's boundaries.  The map is canonical, so
+    /// this is one less than the number of points where the depth changes (zero when
+    /// the set is empty).
+    pub fn segment_count(&self) -> usize {
+        self.segs.len().saturating_sub(1)
+    }
+
+    /// Current maximum coverage depth.  `O(1)`.
     pub fn max_depth(&self) -> usize {
-        self.depth_counts
-            .keys()
-            .next_back()
-            .map_or(0, |&d| d as usize)
+        self.depths.top
     }
 
     /// Total length covered by at least one interval.
@@ -395,78 +437,98 @@ impl SweepSet {
     /// change in covered length.
     fn apply(&mut self, iv: Interval, sign: i32) -> i64 {
         let (s, e) = (iv.start().ticks(), iv.end().ticks());
-        self.ensure_boundary(s);
-        self.ensure_boundary(e);
-        let keys: Vec<i64> = self.segs.range(s..=e).map(|(&k, _)| k).collect();
+        let (left_of_s, _) = self.split_at(s);
+        let (_, right_of_e) = self.split_at(e);
+        // The segment being walked, as (start, old depth, new depth).
+        let mut open: Option<(i64, u32, u32)> = None;
+        let mut first_new = 0;
         let mut busy_delta = 0i64;
-        for pair in keys.windows(2) {
-            let len = pair[1] - pair[0];
-            let depth = self.segs.get_mut(&pair[0]).expect("boundary exists");
+        for (&k, depth) in self.segs.range_mut(s..e) {
             let old = *depth;
-            let new = (old as i64 + sign as i64) as u32;
             debug_assert!(
                 old as i64 + sign as i64 >= 0,
                 "removed an interval that was never inserted"
             );
+            let new = old.wrapping_add_signed(sign);
             *depth = new;
-            if old > 0 {
-                self.dec_count(old);
+            match open {
+                Some(seg) => busy_delta += covered_change(seg, k),
+                None => first_new = new,
             }
+            // Count the new depth first, so the histogram's top never has to search
+            // downwards past a level the same update is about to refill.
             if new > 0 {
-                self.inc_count(new);
+                self.depths.inc(new);
             }
-            if old == 0 && new > 0 {
-                busy_delta += len;
-            } else if old > 0 && new == 0 {
-                busy_delta -= len;
+            if old > 0 {
+                self.depths.dec(old);
             }
+            open = Some((k, old, new));
         }
+        let last = open.expect("`s` is a boundary inside the window");
+        busy_delta += covered_change(last, e);
         self.busy += busy_delta;
-        if sign < 0 {
-            // Removals are the only updates that can leave a boundary carrying the
-            // same depth as its predecessor; merging those keeps the map proportional
-            // to the *live* intervals instead of every endpoint ever inserted.
-            let mut prev_depth = self.segs.range(..s).next_back().map_or(0, |(_, &d)| d);
-            for &k in &keys {
-                let d = *self.segs.get(&k).expect("boundary still present");
-                if d == prev_depth {
-                    self.segs.remove(&k);
-                    if d > 0 {
-                        self.dec_count(d);
-                    }
-                } else {
-                    prev_depth = d;
-                }
-            }
+        // Interior boundaries moved by `sign` on both sides, so each still changes the
+        // depth; only the window's two endpoints can now repeat their predecessor's
+        // depth.  Merging those keeps the map canonical after inserts and removals
+        // alike — proportional to the live depth changes, not to every endpoint ever
+        // inserted.
+        if first_new == left_of_s {
+            self.merge_boundary(s, first_new);
         }
+        if last.2 == right_of_e {
+            self.merge_boundary(e, right_of_e);
+        }
+        debug_assert!(
+            self.is_canonical_near(s, e),
+            "segment map lost canonical form"
+        );
         busy_delta
     }
 
-    /// Make `t` a segment boundary, splitting the segment covering it if needed.
-    fn ensure_boundary(&mut self, t: i64) {
-        if self.segs.contains_key(&t) {
-            return;
-        }
-        let depth = self.segs.range(..t).next_back().map_or(0, |(_, &d)| d);
-        self.segs.insert(t, depth);
-        if depth > 0 {
-            // Splitting one positive-depth segment into two.
-            self.inc_count(depth);
-        }
-    }
-
-    fn inc_count(&mut self, depth: u32) {
-        *self.depth_counts.entry(depth).or_insert(0) += 1;
-    }
-
-    fn dec_count(&mut self, depth: u32) {
-        match self.depth_counts.get_mut(&depth) {
-            Some(c) if *c > 1 => *c -= 1,
-            Some(_) => {
-                self.depth_counts.remove(&depth);
+    /// Make `t` a segment boundary, splitting the segment covering it if needed;
+    /// returns the depths just left and just right of `t`.
+    fn split_at(&mut self, t: i64) -> (u32, u32) {
+        let mut at_or_before = self.segs.range(..=t).rev();
+        match at_or_before.next() {
+            Some((&k, &d)) if k == t => (at_or_before.next().map_or(0, |(_, &p)| p), d),
+            covering => {
+                let d = covering.map_or(0, |(_, &d)| d);
+                self.segs.insert(t, d);
+                if d > 0 {
+                    // Splitting one positive-depth segment into two.
+                    self.depths.inc(d);
+                }
+                (d, d)
             }
-            None => debug_assert!(false, "depth histogram out of sync"),
         }
+    }
+
+    /// Drop the boundary `t`, whose depth `depth` equals its predecessor's: the two
+    /// segments either side of it become one.
+    fn merge_boundary(&mut self, t: i64, depth: u32) {
+        self.segs.remove(&t);
+        if depth > 0 {
+            self.depths.dec(depth);
+        }
+    }
+
+    /// Debug check of canonical form around an updated window `[s, e)`: from the
+    /// boundary before `s` through the one after `e`, no boundary repeats its
+    /// predecessor's depth, and the map's last boundary carries depth 0.
+    fn is_canonical_near(&self, s: i64, e: i64) -> bool {
+        use std::ops::Bound::{Excluded, Unbounded};
+        let lo = self.segs.range(..s).next_back().map_or(s, |(&k, _)| k);
+        let hi = self
+            .segs
+            .range((Excluded(e), Unbounded))
+            .next()
+            .map_or(e, |(&k, _)| k);
+        let mut prev = self.segs.range(..lo).next_back().map_or(0, |(_, &d)| d);
+        self.segs
+            .range(lo..=hi)
+            .all(|(_, &d)| std::mem::replace(&mut prev, d) != d)
+            && self.segs.values().next_back().is_none_or(|&d| d == 0)
     }
 
     /// A maximal stretch with depth at least `depth` intersecting `window`: the run
@@ -529,27 +591,21 @@ impl SweepSet {
             }
         }
         if hi == we {
-            // If the window edge falls inside a segment, that segment's tail (whose
-            // depth the walk already inspected) belongs to the run unconditionally.
-            if !self.segs.contains_key(&we) {
-                if let Some((&k, _)) = self.segs.range(we..).next() {
-                    hi = k;
-                }
+            // One walk from the window edge: if the edge falls inside a segment, that
+            // segment's tail (whose depth the walk above already inspected) belongs to
+            // the run unconditionally; then whole segments follow while the depth
+            // holds up.
+            let mut rightward = self.segs.range(we..);
+            let mut at = rightward.next();
+            if let Some((&k, _)) = at {
+                hi = k;
             }
-            // Then follow whole segments rightward while the depth holds up.
-            let mut steps = 0;
-            while steps < cap {
-                match self.segs.get(&hi) {
-                    Some(&seg_depth) if seg_depth >= d => {
-                        match self
-                            .segs
-                            .range((std::ops::Bound::Excluded(hi), std::ops::Bound::Unbounded))
-                            .next()
-                        {
-                            Some((&next, _)) => {
-                                hi = next;
-                                steps += 1;
-                            }
+            for _ in 0..cap {
+                match at {
+                    Some((_, &seg_depth)) if seg_depth >= d => {
+                        at = rightward.next();
+                        match at {
+                            Some((&next, _)) => hi = next,
                             None => break,
                         }
                     }
@@ -582,6 +638,16 @@ impl SweepSet {
                 f(lo, e, depth as usize);
             }
         }
+    }
+}
+
+/// The change in covered length when the segment `[lo, hi)` moves from depth `old`
+/// to depth `new`.
+fn covered_change((lo, old, new): (i64, u32, u32), hi: i64) -> i64 {
+    match (old > 0, new > 0) {
+        (false, true) => hi - lo,
+        (true, false) => lo - hi,
+        _ => 0,
     }
 }
 
@@ -895,6 +961,31 @@ mod tests {
                 .map(|(a, b)| iv(a, b));
             assert_eq!(s.hull(), hull, "after step {i}");
         }
+    }
+
+    #[test]
+    fn sweep_set_merges_touching_inserts_into_one_segment() {
+        let mut s = SweepSet::new();
+        s.insert(iv(0, 10));
+        s.insert(iv(10, 20));
+        assert_eq!(s.segment_count(), 1, "boundary 10 repeats depth 1");
+        assert_eq!(s.depth_at(Time::new(10)), 1);
+        // Growing a plateau from either side merges the same way.
+        s.insert(iv(0, 5));
+        s.insert(iv(5, 20));
+        assert_eq!(s.segment_count(), 1);
+        assert_eq!(s.max_depth(), 2);
+        s.remove(iv(0, 10));
+        assert_eq!(
+            s.segment_count(),
+            2,
+            "[0,10) at depth 1, [10,20) at depth 2"
+        );
+        s.remove(iv(10, 20));
+        s.remove(iv(0, 5));
+        s.remove(iv(5, 20));
+        assert_eq!(s.segment_count(), 0);
+        assert_eq!(s.max_depth(), 0);
     }
 
     #[test]

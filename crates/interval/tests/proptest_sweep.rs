@@ -111,6 +111,18 @@ proptest! {
                 .reduce(|(a, b), (c, d)| (a.min(c), b.max(d)))
                 .map(|(a, b)| Interval::from_ticks(a, b));
             prop_assert_eq!(sweep.hull(), hull);
+            // The map is canonical: it agrees with the profile at every tick, and it
+            // has exactly one boundary per point where the profile's depth changes
+            // (so no boundary repeats its predecessor's depth).
+            let mut changes = 0usize;
+            let mut prev = 0usize;
+            for t in -61i64..=100 {
+                let depth = profile.depth_at(Time::new(t));
+                prop_assert_eq!(sweep.depth_at(Time::new(t)), depth, "depth at {}", t);
+                changes += usize::from(depth != prev);
+                prev = depth;
+            }
+            prop_assert_eq!(sweep.segment_count(), changes.saturating_sub(1));
         }
     }
 
