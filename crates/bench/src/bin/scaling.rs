@@ -46,7 +46,6 @@ use busytime::minbusy::{
     one_sided_optimal,
 };
 use busytime::online::{OnlinePolicy, OnlineScheduler, Trace};
-use busytime::par::solve_minbusy_batch;
 use busytime::twodim::{bucket_first_fit, first_fit_2d, DEFAULT_BUCKET_BASE};
 use busytime::{
     Duration, ExactBudget, ExactOutcome, Instance, Interval, Problem, Schedule, Solver,
@@ -789,14 +788,15 @@ fn algorithm_cases(quick: bool) -> Vec<AlgorithmCase> {
         }));
     }
     // The batch engine over 64 large proper cliques (the default policy routes each
-    // one to the exact DP).
+    // one to the exact DP); the problems are built outside the timed closure.
     for jobs in grid(quick, &[250, 2_000]) {
         let mut rng = rng();
-        let batch: Vec<Instance> = (0..64)
-            .map(|_| proper_clique_instance(&mut rng, jobs, 8, 4 * jobs as i64))
+        let batch: Vec<Problem> = (0..64)
+            .map(|_| Problem::min_busy(proper_clique_instance(&mut rng, jobs, 8, 4 * jobs as i64)))
             .collect();
-        cases.push(case("solve_minbusy_batch/64", 64 * jobs, 8, move || {
-            solve_minbusy_batch(&batch)
+        let solver = Solver::new();
+        cases.push(case("solve_batch/64", 64 * jobs, 8, move || {
+            solver.solve_batch(&batch)
         }));
     }
     cases

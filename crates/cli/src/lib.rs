@@ -2,7 +2,7 @@
 //!
 //! Library backing the `busytime` command-line tool: a JSON on-disk instance format plus
 //! the sub-commands (`solve`, `bound`, `throughput`, `batch`, `simulate`, `generate`,
-//! `serve`, `client`) implemented as plain functions so that they can be unit-tested
+//! `serve`, `client`, `fsck`) implemented as plain functions so that they can be unit-tested
 //! without spawning processes.
 //!
 //! The solving sub-commands go through the unified [`busytime::Solver`] facade, so they
@@ -14,8 +14,9 @@
 //! bracket under a configurable search budget and prints the relative gap.  `batch` solves a whole file of instances through
 //! [`busytime::Solver::solve_batch`] on the work-stealing thread pool; `--threads N`
 //! pins the pool size (the default is one worker per core).  `simulate` replays an
-//! online event trace through [`busytime::Solver::solve_online`] and reports the
-//! per-event cost trajectory plus the final live schedule.
+//! online event trace through [`busytime::OnlineScheduler::run`] and reports the
+//! per-event cost trajectory plus the final live schedule.  `fsck` audits a
+//! durability data directory with the record decoder server recovery uses.
 //!
 //! ```text
 //! busytime generate --class proper-clique --jobs 50 --capacity 4 --seed 7 --output inst.json
@@ -37,12 +38,13 @@
 #![forbid(unsafe_code)]
 
 use busytime::analysis::ScheduleSummary;
-use busytime::online::{Defrag, Event, OnlinePolicy, Trace};
+use busytime::online::{Defrag, Event, OnlinePolicy, OnlineScheduler, Trace};
 use busytime::par::ThreadPool;
 use busytime::report::{ScheduleReport, SimulationReport};
 use busytime::{
     Algorithm, Duration, ExactBudget, Instance, Interval, Problem, SolveError, Solver, Time,
 };
+use busytime_server::JournalRecord;
 use busytime_workload as workload;
 use serde::{Deserialize, Serialize};
 
@@ -480,7 +482,7 @@ fn render_simulation(prefix: &str, payload: &SimulationReport) -> String {
 }
 
 /// `busytime simulate`: replay an online event trace through
-/// [`busytime::Solver::solve_online`], reporting the shared
+/// [`busytime::OnlineScheduler::run`], reporting the shared
 /// [`SimulationReport`] schema (the same shape the server's `query` returns).
 ///
 /// With `--defrag-budget K` the replay runs through the [`Defrag`] wrapper —
@@ -499,9 +501,7 @@ pub fn run_simulate(
             format!("simulate ({policy}, defrag budget {budget})"),
         ),
         None => (
-            Solver::new()
-                .solve_online(&trace, policy)
-                .map_err(|e| e.to_string())?,
+            OnlineScheduler::run(&trace, policy).map_err(|e| e.to_string())?,
             format!("simulate ({policy})"),
         ),
     };
@@ -586,8 +586,9 @@ pub fn run_serve(addr: &str, config: busytime_server::RegistryConfig) -> Result<
 ///
 /// Walks every tenant under `data_dir` exactly the way server recovery would:
 /// the newest generation's snapshot must parse and restore, every journal frame
-/// must carry a valid CRC, and every journal record must replay onto the
-/// restored scheduler.  The report lists per-tenant replayable event counts.
+/// must carry a valid CRC, and every journal record must decode through
+/// [`busytime_server::decode_journal_record`] and replay onto the restored
+/// scheduler.  The report lists per-tenant replayable event counts.
 /// Any corruption turns the whole report into an error (nonzero process exit),
 /// so scripts can gate a restart on a clean check.
 pub fn run_fsck(data_dir: &str) -> Result<CommandOutput, String> {
@@ -641,7 +642,7 @@ fn fsck_tenant(store: &busytime_durability::Store, name: &str) -> Result<String,
     })?;
     let snapshot: busytime::OnlineSnapshot = serde_json::from_str(&snapshot_json)
         .map_err(|e| format!("generation {generation} snapshot does not parse: {e}"))?;
-    let mut scheduler = busytime::OnlineScheduler::restore(&snapshot)
+    let mut scheduler = OnlineScheduler::restore(&snapshot)
         .map_err(|e| format!("generation {generation} snapshot does not restore: {e}"))?;
     let scan = inspection
         .scan
@@ -669,32 +670,20 @@ fn fsck_tenant(store: &busytime_durability::Store, name: &str) -> Result<String,
     ))
 }
 
-/// Parse one journal record as a wire request and apply it to the scheduler.
-fn fsck_replay(
-    scheduler: &mut busytime::OnlineScheduler,
-    name: &str,
-    record: &[u8],
-) -> Result<(), String> {
-    let text = std::str::from_utf8(record).map_err(|e| format!("record is not UTF-8: {e}"))?;
-    let event = match busytime_server::Request::from_json(text)? {
-        busytime_server::Request::Arrive { tenant, id, job } if tenant == name => {
-            let interval = Interval::try_new(Time::new(job.0), Time::new(job.1))
-                .map_err(|_| format!("job window [{}, {}) is empty", job.0, job.1))?;
-            Event::arrival(id, interval)
-        }
-        busytime_server::Request::Depart { tenant, id } if tenant == name => Event::departure(id),
-        // A journaled defrag pass: replay it the way server recovery does —
+/// Decode one journal record the way server recovery does and apply it to the
+/// scheduler.
+fn fsck_replay(scheduler: &mut OnlineScheduler, name: &str, record: &[u8]) -> Result<(), String> {
+    match busytime_server::decode_journal_record(name, record)? {
+        JournalRecord::Event(event) => scheduler
+            .apply(&event)
+            .map(|_| ())
+            .map_err(|e| e.to_string()),
         // `compact` is deterministic against the replayed placements.
-        busytime_server::Request::Compact { tenant, budget } if tenant == name => {
+        JournalRecord::Compact(budget) => {
             scheduler.compact(budget);
-            return Ok(());
+            Ok(())
         }
-        other => return Err(format!("unexpected '{}' record", other.op())),
-    };
-    scheduler
-        .apply(&event)
-        .map(|_| ())
-        .map_err(|e| e.to_string())
+    }
 }
 
 /// Workload classes understood by `busytime generate`.
@@ -1086,6 +1075,87 @@ mod tests {
         let err = run_simulate(&zero_capacity, OnlinePolicy::BucketByLength, None).unwrap_err();
         assert!(err.contains("capacity"), "{err}");
         assert!(OnlinePolicy::parse("bogus").is_err());
+    }
+
+    /// A fresh data directory holding one tenant, `acme` (g = 2, first-fit), whose
+    /// journal carries `records` after an empty snapshot.
+    fn journal_dir(tag: &str, records: &[String]) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("busytime-cli-fsck-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = busytime_durability::Store::open(&dir, 1).unwrap();
+        let empty = OnlineScheduler::new(2, OnlinePolicy::FirstFit).unwrap();
+        let snapshot = serde_json::to_string(&empty.snapshot()).unwrap();
+        let mut log = store.begin_tenant("acme", &snapshot).unwrap();
+        for record in records {
+            log.append(record.as_bytes()).unwrap();
+        }
+        log.sync().unwrap();
+        dir
+    }
+
+    fn arrival_record(id: u64, start: i64, end: i64) -> String {
+        let event = Event::arrival(id, Interval::from_ticks(start, end));
+        busytime_server::Request::event_record_json("acme", &event)
+    }
+
+    #[test]
+    fn fsck_accepts_a_clean_journal_with_a_compact_record() {
+        let compact = busytime_server::Request::Compact {
+            tenant: "acme".into(),
+            budget: 4,
+        };
+        let records = [
+            arrival_record(1, 0, 10),
+            arrival_record(2, 4, 12),
+            arrival_record(3, 6, 14),
+            busytime_server::Request::event_record_json("acme", &Event::departure(1)),
+            compact.to_json(),
+        ];
+        let dir = journal_dir("clean", &records);
+        let report = run_fsck(dir.to_str().unwrap()).unwrap().report;
+        assert!(report.contains("1 tenant(s)"), "{report}");
+        assert!(
+            report.contains("5 replayable journal event(s), 2 live job(s)"),
+            "{report}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fsck_rejects_the_records_recovery_rejects() {
+        // The second arrival's window lies beyond the wire's tick bound, so recovery
+        // stops before it; fsck must flag the same record.
+        let far = 1i64 << 43;
+        let records = [
+            arrival_record(1, 0, 10),
+            arrival_record(2, far, far + 5),
+            arrival_record(3, 2, 12),
+        ];
+        let dir = journal_dir("out-of-range", &records);
+        let err = run_fsck(dir.to_str().unwrap()).unwrap_err();
+        assert!(err.contains("journal record 1 does not replay"), "{err}");
+        assert!(err.contains("out of range"), "{err}");
+        assert!(err.contains("1 of 3 event(s) replayable"), "{err}");
+
+        // Recovery keeps the one event before the bad record and compacts the rest
+        // away; the repaired directory then audits clean with that one job live.
+        let registry = busytime_server::Registry::with_config(busytime_server::RegistryConfig {
+            durability: Some(busytime_server::DurabilityConfig {
+                data_dir: dir.clone(),
+                fsync_batch: 1,
+                compact_threshold: 1_000,
+            }),
+            ..busytime_server::RegistryConfig::new(1)
+        })
+        .unwrap();
+        registry.shutdown();
+        let report = run_fsck(dir.to_str().unwrap()).unwrap().report;
+        assert!(
+            report.contains("0 replayable journal event(s), 1 live job(s)"),
+            "{report}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

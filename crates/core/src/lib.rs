@@ -65,7 +65,7 @@
 //! | [`bounds`] | the parallelism / span / length bounds of Observation 2.1 |
 //! | [`analysis`] | schedule summaries and ratio reporting |
 //! | [`report`] | the shared JSON result schemas ([`ScheduleReport`], [`SimulationReport`]) the CLI and server emit |
-//! | [`par`] | the work-stealing [`par::ThreadPool`] batch engine and batch helpers |
+//! | [`par`] | the work-stealing [`par::ThreadPool`] batch engine |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -105,3 +105,8 @@ pub use solver::{
     ExactOutcome, InstanceBounds, Objective, Problem, ProblemKind, SkipReason, Solution,
     SolveError, SolvePolicy, Solver, SolverBuilder,
 };
+
+// The README's Rust snippets run as doctests, so its examples cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;

@@ -25,9 +25,9 @@
 //!
 //! The family has `Σ_{k≤g} C(n,k)` sets and every pick enumerates the part of it that is
 //! still eligible, so the algorithm is intended for small fixed `g` (the paper notes the
-//! ratio stays below 2 for `g ≤ 6`).  A configurable limit on the family size guards
-//! against accidental exponential blow-ups; it bounds running time, since no set is ever
-//! stored.
+//! ratio stays below 2 for `g ≤ 6`).  A limit on the family size
+//! ([`DEFAULT_SET_FAMILY_LIMIT`]) guards against accidental exponential blow-ups; it
+//! bounds running time, since no set is ever stored.
 
 use busytime_interval::Interval;
 
@@ -46,16 +46,17 @@ pub fn set_cover_guarantee(g: usize) -> f64 {
     (g as f64) * h_g / (h_g + g as f64 - 1.0)
 }
 
-/// Lemma 3.2 approximation algorithm with the default candidate-family limit.
+/// Lemma 3.2 approximation algorithm.
+///
+/// Returns [`Error::NotClique`] on non-clique instances and
+/// [`Error::SetFamilyTooLarge`] when `Σ_{k≤g} C(n,k)` exceeds
+/// [`DEFAULT_SET_FAMILY_LIMIT`].
 pub fn clique_set_cover(instance: &Instance) -> Result<Schedule, Error> {
     clique_set_cover_with_limit(instance, DEFAULT_SET_FAMILY_LIMIT)
 }
 
-/// Lemma 3.2 approximation algorithm with an explicit candidate-family limit.
-///
-/// Returns [`Error::NotClique`] on non-clique instances and
-/// [`Error::SetFamilyTooLarge`] when `Σ_{k≤g} C(n,k)` exceeds `limit`.
-pub fn clique_set_cover_with_limit(instance: &Instance, limit: usize) -> Result<Schedule, Error> {
+/// [`clique_set_cover`] with an explicit candidate-family limit.
+fn clique_set_cover_with_limit(instance: &Instance, limit: usize) -> Result<Schedule, Error> {
     if !instance.is_clique() {
         return Err(Error::NotClique);
     }

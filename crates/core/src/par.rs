@@ -1,5 +1,4 @@
-//! The batch engine: an in-repo work-stealing thread pool and the data-parallel batch
-//! helpers built on it.
+//! The batch engine: an in-repo work-stealing thread pool.
 //!
 //! Batch workloads — [`Solver::solve_batch`](crate::Solver::solve_batch), the
 //! experiment harness sweeping hundreds of random instances per parameter point, the
@@ -28,23 +27,13 @@
 //! The pool size defaults to every available core; [`set_default_threads`] (or the
 //! `BUSYTIME_THREADS` environment variable, or the CLI's `--threads`) pins it
 //! process-wide for every caller that uses [`ThreadPool::with_default_parallelism`].
-//!
-//! The free functions below ([`solve_minbusy_batch`], [`solve_maxthroughput_batch`],
-//! [`map_instances`]) are the batch entry points the harness uses; they parallelize
-//! sweeps without changing any algorithmic result (each instance is solved
-//! independently, results come back in input order).
+//! Batches of solve requests go through
+//! [`Solver::solve_batch`](crate::Solver::solve_batch); any other per-item work goes
+//! through [`ThreadPool::map`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-use busytime_interval::Duration;
-
-use crate::instance::Instance;
-use crate::maxthroughput::MaxThroughputAlgorithm;
-use crate::minbusy::MinBusyAlgorithm;
-use crate::schedule::{Schedule, ThroughputResult};
-use crate::solver::{Problem, Solver};
 
 /// Process-wide thread-count override; 0 means "not set".
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -200,79 +189,10 @@ impl ThreadPool {
     }
 }
 
-/// Solve MinBusy on every instance in parallel with the automatic dispatcher.
-///
-/// Returns, per instance and in input order, the schedule and the algorithm chosen.
-pub fn solve_minbusy_batch(instances: &[Instance]) -> Vec<(Schedule, MinBusyAlgorithm)> {
-    let solver = Solver::new();
-    ThreadPool::with_default_parallelism().map(instances, |instance| {
-        let solution = solver
-            .solve_min_busy(instance)
-            .expect("the default policy always solves MinBusy");
-        let algorithm = solution
-            .algorithm
-            .as_minbusy()
-            .expect("MinBusy dispatch selects MinBusy algorithms");
-        (solution.schedule, algorithm)
-    })
-}
-
-/// Solve MaxThroughput on every `(instance, budget)` pair in parallel with the automatic
-/// dispatcher.
-pub fn solve_maxthroughput_batch(
-    cases: &[(Instance, Duration)],
-) -> Vec<(ThroughputResult, MaxThroughputAlgorithm)> {
-    let solver = Solver::new();
-    let problems: Vec<Problem> = cases
-        .iter()
-        .map(|(instance, budget)| Problem::max_throughput(instance.clone(), *budget))
-        .collect();
-    solver
-        .solve_batch(&problems)
-        .into_iter()
-        .map(|result| {
-            let solution = result.expect("the default policy always solves MaxThroughput");
-            let algorithm = solution
-                .algorithm
-                .as_maxthroughput()
-                .expect("MaxThroughput dispatch selects MaxThroughput algorithms");
-            // The facade already computed the throughput and cost; reuse them rather
-            // than re-deriving both from the schedule.
-            let (throughput, cost) = match solution.objective {
-                crate::solver::Objective::Throughput { scheduled, cost } => (scheduled, cost),
-                other => {
-                    unreachable!("MaxThroughput solutions carry a throughput objective: {other:?}")
-                }
-            };
-            (
-                ThroughputResult {
-                    schedule: solution.schedule,
-                    throughput,
-                    cost,
-                },
-                algorithm,
-            )
-        })
-        .collect()
-}
-
-/// Apply an arbitrary per-instance solver in parallel, preserving order.
-///
-/// Generic glue used by the benchmark harness to sweep a parameter grid with any of the
-/// library's algorithms (or an exact reference solver).
-pub fn map_instances<T, F>(instances: &[Instance], solver: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&Instance) -> T + Sync + Send,
-{
-    ThreadPool::with_default_parallelism().map(instances, solver)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maxthroughput;
-    use crate::minbusy;
+    use crate::{Duration, Instance, Problem, Solver};
 
     fn instances() -> Vec<Instance> {
         vec![
@@ -343,33 +263,34 @@ mod tests {
     #[test]
     fn batch_minbusy_matches_sequential() {
         let insts = instances();
-        let parallel = solve_minbusy_batch(&insts);
-        for (inst, (schedule, algo)) in insts.iter().zip(&parallel) {
-            let (seq_schedule, seq_algo) = minbusy::solve_auto(inst);
-            assert_eq!(algo, &seq_algo);
-            assert_eq!(schedule.cost(inst), seq_schedule.cost(inst));
-            schedule.validate_complete(inst).unwrap();
+        let solver = Solver::new();
+        for threads in [1usize, 2, 4] {
+            let parallel = ThreadPool::new(threads).map(&insts, |i| solver.solve_min_busy(i));
+            for (inst, result) in insts.iter().zip(parallel) {
+                let batched = result.unwrap();
+                let sequential = solver.solve_min_busy(inst).unwrap();
+                assert_eq!(batched.algorithm, sequential.algorithm);
+                assert_eq!(batched.schedule, sequential.schedule);
+                batched.schedule.validate_complete(inst).unwrap();
+            }
         }
     }
 
     #[test]
     fn batch_maxthroughput_respects_budgets() {
-        let cases: Vec<(Instance, Duration)> = instances()
+        let budget = Duration::new(12);
+        let problems: Vec<Problem> = instances()
             .into_iter()
-            .map(|i| (i, Duration::new(12)))
+            .map(|i| Problem::max_throughput(i, budget))
             .collect();
-        let results = solve_maxthroughput_batch(&cases);
-        assert_eq!(results.len(), cases.len());
-        for ((inst, budget), (result, algo)) in cases.iter().zip(&results) {
-            result.schedule.validate_budgeted(inst, *budget).unwrap();
-            assert_eq!(*algo, maxthroughput::solve_auto(inst, *budget).1);
+        let results = Solver::new().solve_batch(&problems);
+        assert_eq!(results.len(), problems.len());
+        for (problem, result) in problems.iter().zip(results) {
+            let solution = result.unwrap();
+            solution
+                .schedule
+                .validate_budgeted(problem.instance(), budget)
+                .unwrap();
         }
-    }
-
-    #[test]
-    fn map_instances_preserves_order() {
-        let insts = instances();
-        let lens = map_instances(&insts, |i| i.len());
-        assert_eq!(lens, vec![3, 3, 4, 0]);
     }
 }

@@ -10,8 +10,9 @@
 //!   [`Problem::WeightedThroughput`], each owning its [`Instance`] (plus conversion
 //!   hooks from the [`crate::demand`] and [`crate::twodim`] models);
 //! * [`Solver`] — how to solve it: built with [`SolverBuilder`], carrying a
-//!   [`SolvePolicy`] that can force an algorithm, demand exact solutions and bound
-//!   the set-cover candidate family;
+//!   [`SolvePolicy`] that can force an algorithm, demand exact solutions and budget
+//!   the exponential exact backends.  Its dispatch is the one place that maps an
+//!   instance class to the strongest applicable algorithm ([`Algorithm::candidates`]);
 //! * [`Solution`] — the full answer: schedule, objective value, the [`Algorithm`] that
 //!   produced it, its proven guarantee, the Observation 2.1 bounds of the instance, and
 //!   a [`DispatchAttempt`] trace recording every algorithm that was considered and why
@@ -19,6 +20,8 @@
 //!
 //! Batch workloads go through [`Solver::solve_batch`], which fans the requests out over
 //! the work-stealing [`crate::par::ThreadPool`] while keeping results in request order.
+//! Online event traces have no class to dispatch on — the placement policy is the
+//! algorithm — so they run through [`crate::online::OnlineScheduler::run`] directly.
 //!
 //! ```rust
 //! use busytime::{Problem, Solver, Instance, Duration};
@@ -45,8 +48,8 @@ use crate::bounds;
 use crate::demand::DemandInstance;
 use crate::error::Error;
 use crate::instance::Instance;
-use crate::maxthroughput::{self, MaxThroughputAlgorithm};
-use crate::minbusy::{self, MinBusyAlgorithm, DEFAULT_SET_FAMILY_LIMIT};
+use crate::maxthroughput;
+use crate::minbusy;
 use crate::schedule::Schedule;
 use crate::twodim::Instance2d;
 
@@ -313,31 +316,6 @@ impl Algorithm {
         }
     }
 
-    /// The equivalent [`MinBusyAlgorithm`], when this is a MinBusy algorithm.
-    pub fn as_minbusy(self) -> Option<MinBusyAlgorithm> {
-        match self {
-            Algorithm::OneSided => Some(MinBusyAlgorithm::OneSided),
-            Algorithm::ProperCliqueDp => Some(MinBusyAlgorithm::ProperCliqueDp),
-            Algorithm::CliqueMatching => Some(MinBusyAlgorithm::CliqueMatching),
-            Algorithm::CliqueSetCover => Some(MinBusyAlgorithm::CliqueSetCover),
-            Algorithm::BestCut => Some(MinBusyAlgorithm::BestCut),
-            Algorithm::FirstFit => Some(MinBusyAlgorithm::FirstFit),
-            _ => None,
-        }
-    }
-
-    /// The equivalent [`MaxThroughputAlgorithm`], when this is a MaxThroughput
-    /// algorithm.
-    pub fn as_maxthroughput(self) -> Option<MaxThroughputAlgorithm> {
-        match self {
-            Algorithm::ThroughputOneSided => Some(MaxThroughputAlgorithm::OneSided),
-            Algorithm::ThroughputProperCliqueDp => Some(MaxThroughputAlgorithm::ProperCliqueDp),
-            Algorithm::ThroughputCliqueApprox => Some(MaxThroughputAlgorithm::CliqueApprox),
-            Algorithm::ThroughputGreedy => Some(MaxThroughputAlgorithm::GreedyFallback),
-            _ => None,
-        }
-    }
-
     /// Every algorithm of every problem kind, in dispatch order, plus the exponential
     /// exact backends (which are never auto-dispatch candidates but can be forced by
     /// name through an installed [`ExactOracle`]).
@@ -380,30 +358,6 @@ impl Algorithm {
             Algorithm::WeightedParetoDp => "weighted-pareto-dp",
             Algorithm::ExactSubsetDp => "exact-subset-dp",
             Algorithm::ExactBnB => "exact-bnb",
-        }
-    }
-}
-
-impl From<MinBusyAlgorithm> for Algorithm {
-    fn from(a: MinBusyAlgorithm) -> Self {
-        match a {
-            MinBusyAlgorithm::OneSided => Algorithm::OneSided,
-            MinBusyAlgorithm::ProperCliqueDp => Algorithm::ProperCliqueDp,
-            MinBusyAlgorithm::CliqueMatching => Algorithm::CliqueMatching,
-            MinBusyAlgorithm::CliqueSetCover => Algorithm::CliqueSetCover,
-            MinBusyAlgorithm::BestCut => Algorithm::BestCut,
-            MinBusyAlgorithm::FirstFit => Algorithm::FirstFit,
-        }
-    }
-}
-
-impl From<MaxThroughputAlgorithm> for Algorithm {
-    fn from(a: MaxThroughputAlgorithm) -> Self {
-        match a {
-            MaxThroughputAlgorithm::OneSided => Algorithm::ThroughputOneSided,
-            MaxThroughputAlgorithm::ProperCliqueDp => Algorithm::ThroughputProperCliqueDp,
-            MaxThroughputAlgorithm::CliqueApprox => Algorithm::ThroughputCliqueApprox,
-            MaxThroughputAlgorithm::GreedyFallback => Algorithm::ThroughputGreedy,
         }
     }
 }
@@ -515,27 +469,14 @@ pub trait ExactOracle: Send + Sync {
 }
 
 /// The dispatch policy a [`Solver`] applies; built with [`SolverBuilder`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolvePolicy {
     /// Run exactly this algorithm instead of auto-dispatching.
     pub force: Option<Algorithm>,
     /// Only accept algorithms that are optimal on their instance class.
     pub require_exact: bool,
-    /// Candidate-family limit for the set-cover algorithm (Lemma 3.2).
-    pub set_family_limit: usize,
     /// Node/time budget for the exponential exact backends (see [`ExactOracle`]).
     pub exact_budget: ExactBudget,
-}
-
-impl Default for SolvePolicy {
-    fn default() -> Self {
-        SolvePolicy {
-            force: None,
-            require_exact: false,
-            set_family_limit: DEFAULT_SET_FAMILY_LIMIT,
-            exact_budget: ExactBudget::default(),
-        }
-    }
 }
 
 /// Builder for a [`Solver`].
@@ -571,12 +512,6 @@ impl SolverBuilder {
     /// make [`Solver::solve`] return [`SolveError::Exhausted`].
     pub fn require_exact(mut self, yes: bool) -> Self {
         self.policy.require_exact = yes;
-        self
-    }
-
-    /// Cap the candidate-set family the Lemma 3.2 set-cover algorithm may enumerate.
-    pub fn set_family_limit(mut self, limit: usize) -> Self {
-        self.policy.set_family_limit = limit;
         self
     }
 
@@ -622,7 +557,8 @@ impl fmt::Debug for Solver {
 }
 
 impl Solver {
-    /// A solver with the default policy (equivalent to the old `solve_auto` dispatch).
+    /// A solver with the default policy: auto-dispatch to the strongest applicable
+    /// algorithm.
     pub fn new() -> Self {
         Solver::default()
     }
@@ -762,38 +698,6 @@ impl Solver {
         crate::par::ThreadPool::with_default_parallelism().map(problems, |p| self.solve(p))
     }
 
-    /// Replay an online event [`crate::online::Trace`] under `policy`, returning the
-    /// per-event cost trajectory and the final live schedule.
-    ///
-    /// Online requests bypass the offline dispatch machinery — the paper analyses no
-    /// online algorithm, so there is nothing to classify or force; the policy *is* the
-    /// algorithm.  The dispatch-policy knobs of [`SolvePolicy`] (force /
-    /// require-exact) therefore do not apply here.
-    ///
-    /// ```
-    /// use busytime::online::{Event, OnlinePolicy, Trace};
-    /// use busytime::{Interval, Solver};
-    ///
-    /// let trace = Trace::new(
-    ///     2,
-    ///     vec![
-    ///         Event::arrival(1, Interval::from_ticks(0, 10)),
-    ///         Event::arrival(2, Interval::from_ticks(4, 12)),
-    ///         Event::departure(1),
-    ///     ],
-    /// );
-    /// let run = Solver::new().solve_online(&trace, OnlinePolicy::FirstFit).unwrap();
-    /// assert_eq!(run.trajectory.len(), 3);
-    /// assert_eq!(run.final_cost().ticks(), 8);
-    /// ```
-    pub fn solve_online(
-        &self,
-        trace: &crate::online::Trace,
-        policy: crate::online::OnlinePolicy,
-    ) -> Result<crate::online::OnlineRun, crate::online::OnlineError> {
-        crate::online::OnlineScheduler::run(trace, policy)
-    }
-
     /// Convenience: solve MinBusy for `instance` without building a [`Problem`].
     pub fn solve_min_busy(&self, instance: &Instance) -> Result<Solution, SolveError> {
         // Cloning the instance keeps the request self-contained; jobs are plain
@@ -894,8 +798,7 @@ impl Solver {
                 minbusy::clique_matching(instance).map(|s| pair_min_busy(s, instance))
             }
             (Algorithm::CliqueSetCover, Problem::MinBusy { .. }) => {
-                minbusy::clique_set_cover_with_limit(instance, self.policy.set_family_limit)
-                    .map(|s| pair_min_busy(s, instance))
+                minbusy::clique_set_cover(instance).map(|s| pair_min_busy(s, instance))
             }
             (Algorithm::BestCut, Problem::MinBusy { .. }) => {
                 minbusy::best_cut(instance).map(|s| pair_min_busy(s, instance))
@@ -1209,8 +1112,7 @@ impl Solution {
     }
 }
 
-/// A typed dispatch failure (replaces the silently swallowed errors of the old
-/// per-module `solve_auto` entry points).
+/// A typed dispatch failure: every algorithm error is reported, never swallowed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveError {
     /// A forced algorithm solves a different problem kind than the request.
@@ -1329,32 +1231,64 @@ mod tests {
     }
 
     #[test]
-    fn default_dispatch_matches_solve_auto() {
-        let instances = [
-            Instance::from_ticks(&[(0, 5), (0, 9), (0, 2)], 2),
-            proper_clique(),
-            Instance::from_ticks(&[(0, 20), (5, 10), (6, 18)], 2),
-            Instance::from_ticks(&[(0, 20), (5, 10), (6, 18), (7, 9)], 3),
-            Instance::from_ticks(&[(0, 4), (3, 7), (6, 10), (9, 13)], 2),
-            general(),
-            Instance::from_ticks(&[], 2),
+    fn default_dispatch_picks_the_strongest_algorithm_per_class() {
+        // One instance per class of Sections 3 and 4, with the MinBusy and the
+        // MaxThroughput algorithm the default policy must select for it.
+        let table = [
+            // One-sided clique.
+            (
+                Instance::from_ticks(&[(0, 5), (0, 9), (0, 2)], 2),
+                Algorithm::OneSided,
+                Algorithm::ThroughputOneSided,
+            ),
+            // Proper clique.
+            (
+                proper_clique(),
+                Algorithm::ProperCliqueDp,
+                Algorithm::ThroughputProperCliqueDp,
+            ),
+            // Clique, not proper, g = 2.
+            (
+                Instance::from_ticks(&[(0, 20), (5, 10), (6, 18)], 2),
+                Algorithm::CliqueMatching,
+                Algorithm::ThroughputCliqueApprox,
+            ),
+            // Clique, not proper, g = 3.
+            (
+                Instance::from_ticks(&[(0, 20), (5, 10), (6, 18), (7, 9)], 3),
+                Algorithm::CliqueSetCover,
+                Algorithm::ThroughputCliqueApprox,
+            ),
+            // Proper, not a clique.
+            (
+                Instance::from_ticks(&[(0, 4), (3, 7), (6, 10), (9, 13)], 2),
+                Algorithm::BestCut,
+                Algorithm::ThroughputGreedy,
+            ),
+            // Neither.
+            (general(), Algorithm::FirstFit, Algorithm::ThroughputGreedy),
         ];
         let solver = Solver::new();
-        for inst in &instances {
-            let (schedule, algo) = minbusy::solve_auto(inst);
+        for (inst, minbusy, throughput) in &table {
             let solution = solver.solve_min_busy(inst).unwrap();
-            assert_eq!(solution.algorithm, Algorithm::from(algo));
-            assert_eq!(solution.objective.cost(), schedule.cost(inst));
+            assert_eq!(solution.algorithm, *minbusy, "{inst:?}");
+            assert_eq!(solution.objective.cost(), solution.schedule.cost(inst));
             solution.schedule.validate_complete(inst).unwrap();
-            for budget in [0i64, 7, 20, 1_000] {
+            for budget in 0..=100 {
                 let budget = Duration::new(budget);
-                let (result, talgo) = maxthroughput::solve_auto(inst, budget);
                 let budgeted = solver.solve_max_throughput(inst, budget).unwrap();
-                assert_eq!(budgeted.algorithm, Algorithm::from(talgo));
-                assert_eq!(budgeted.objective.scheduled(), Some(result.throughput));
+                assert_eq!(budgeted.algorithm, *throughput, "{inst:?}");
+                assert_eq!(
+                    budgeted.objective.scheduled(),
+                    Some(budgeted.schedule.throughput())
+                );
                 budgeted.schedule.validate_budgeted(inst, budget).unwrap();
             }
         }
+        let empty = Instance::from_ticks(&[], 2);
+        let solution = solver.solve_min_busy(&empty).unwrap();
+        assert_eq!(solution.objective.cost(), Duration::ZERO);
+        solution.schedule.validate_complete(&empty).unwrap();
     }
 
     #[test]
@@ -1378,11 +1312,12 @@ mod tests {
 
     #[test]
     fn set_cover_failure_is_recorded_not_swallowed() {
-        // A clique (not proper, g = 3) whose candidate family exceeds a tiny limit:
-        // dispatch must record the failure and continue to the fallback.
-        let inst = Instance::from_ticks(&[(0, 20), (5, 10), (6, 18), (7, 9)], 3);
-        let solver = Solver::builder().set_family_limit(2).build();
-        let solution = solver.solve_min_busy(&inst).unwrap();
+        // A nested clique (not proper, g = 4) of 100 jobs, whose Σ_{k≤4} C(100,k) ≈ 4.1M
+        // candidate sets exceed the set-cover family limit: dispatch must record the
+        // failure and continue to the fallback.
+        let jobs: Vec<(i64, i64)> = (0..100).map(|i| (i, 200 - i)).collect();
+        let inst = Instance::from_ticks(&jobs, 4);
+        let solution = Solver::new().solve_min_busy(&inst).unwrap();
         assert_eq!(solution.algorithm, Algorithm::FirstFit);
         assert!(solution.trace.iter().any(|a| {
             a.algorithm == Algorithm::CliqueSetCover
@@ -1524,6 +1459,29 @@ mod tests {
     fn solution_reports_bounds_and_guarantee() {
         let solution = Solver::new().solve_min_busy(&proper_clique()).unwrap();
         assert_eq!(solution.guarantee, Some(1.0));
+        for exact in [
+            Algorithm::OneSided,
+            Algorithm::ProperCliqueDp,
+            Algorithm::CliqueMatching,
+            Algorithm::ThroughputOneSided,
+            Algorithm::ThroughputProperCliqueDp,
+        ] {
+            assert!(exact.is_exact(), "{exact}");
+            assert_eq!(exact.guarantee(3), Some(1.0), "{exact}");
+        }
+        for approximate in [
+            Algorithm::CliqueSetCover,
+            Algorithm::BestCut,
+            Algorithm::FirstFit,
+            Algorithm::ThroughputCliqueApprox,
+            Algorithm::ThroughputGreedy,
+        ] {
+            assert!(!approximate.is_exact(), "{approximate}");
+        }
+        assert_eq!(Algorithm::BestCut.guarantee(2), Some(1.5));
+        assert_eq!(Algorithm::FirstFit.guarantee(10), Some(4.0));
+        assert!(Algorithm::CliqueSetCover.guarantee(6).unwrap() < 2.0);
+        assert_eq!(Algorithm::ThroughputGreedy.guarantee(4), None);
         assert!(solution.objective.cost() >= solution.bounds.lower);
         assert!(solution.objective.cost() <= solution.bounds.length);
         assert_eq!(

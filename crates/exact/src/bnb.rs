@@ -22,7 +22,7 @@
 //!
 //! * **Warm start** — the incumbent opens as the best of the paper's FirstFit
 //!   (canonical longest-first order), FirstFit in branch order, and the component's
-//!   share of the default dispatcher's schedule ([`solve_auto`]) for the *whole*
+//!   share of the schedule the default [`Solver`] dispatch finds for the *whole*
 //!   instance, then *polished* by a strictly-improving single-job relocation descent
 //!   (`polish`).  Busy time adds up across components, so the upper bound never
 //!   exceeds what the dispatcher (clique set cover, BestCut, FirstFit, …) finds for
@@ -61,8 +61,8 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use busytime::minbusy::{first_fit, first_fit_in_order, solve_auto};
-use busytime::{Duration, ExactBudget, ExactOutcome, Instance, MachineState, Schedule};
+use busytime::minbusy::{first_fit, first_fit_in_order};
+use busytime::{Duration, ExactBudget, ExactOutcome, Instance, MachineState, Schedule, Solver};
 use busytime_interval::{union, Interval};
 
 /// Exact MinBusy by branch-and-bound over job→machine assignments.
@@ -118,7 +118,10 @@ pub(crate) fn branch_and_bound_with_visitor(
     let mut machine_offset = 0usize;
     // The default dispatcher's schedule for the whole instance: its share of each
     // component warm-starts that component's search alongside the local FirstFits.
-    let (whole, _) = solve_auto(instance);
+    let whole = Solver::new()
+        .solve_min_busy(instance)
+        .expect("the default policy always solves MinBusy")
+        .schedule;
     for ids in instance.connected_components() {
         let (comp, mapping) = instance.sub_instance(&ids);
         let induced = induced_schedule(&whole, &mapping);
@@ -164,7 +167,7 @@ fn induced_schedule(whole: &Schedule, mapping: &[usize]) -> Schedule {
     for (local, &global) in mapping.iter().enumerate() {
         let machine = whole
             .machine_of(global)
-            .expect("solve_auto schedules every job");
+            .expect("the whole-instance schedule assigns every job");
         let next = renumbered.len();
         schedule.assign(local, *renumbered.entry(machine).or_insert(next));
     }
@@ -608,7 +611,7 @@ impl Search<'_, '_> {
 mod tests {
     use super::*;
     use crate::{exact_minbusy_cost, MAX_EXACT_JOBS};
-    use busytime::minbusy::MinBusyAlgorithm;
+    use busytime::Algorithm;
     use busytime_workload::{general_instance, proper_instance, seeded_rng};
     use proptest::prelude::*;
 
@@ -719,9 +722,9 @@ mod tests {
         ];
         let jobs: Vec<(i64, i64)> = endpoints.chunks(2).map(|p| (p[0], p[1])).collect();
         let inst = Instance::from_ticks(&jobs, 4);
-        let (schedule, algorithm) = solve_auto(&inst);
-        assert_eq!(algorithm, MinBusyAlgorithm::CliqueSetCover);
-        assert_eq!(schedule.cost(&inst), Duration::new(407));
+        let solution = Solver::new().solve_min_busy(&inst).unwrap();
+        assert_eq!(solution.algorithm, Algorithm::CliqueSetCover);
+        assert_eq!(solution.objective.cost(), Duration::new(407));
         let (lower, upper, _) = bracket(&inst, 2000);
         assert!(lower <= upper && upper <= 407, "bracket [{lower}, {upper}]");
     }
@@ -865,7 +868,7 @@ mod tests {
             prop_assert!(inst.connected_components().len() >= blocks);
             let (lower, upper, _) = bracket(&inst, max_nodes);
             prop_assert!(lower <= upper);
-            let auto = solve_auto(&inst).0.cost(&inst).ticks();
+            let auto = Solver::new().solve_min_busy(&inst).unwrap().objective.cost().ticks();
             prop_assert!(upper <= auto, "upper {} > dispatcher {}", upper, auto);
             let ff = first_fit(&inst).cost(&inst).ticks();
             prop_assert!(upper <= ff, "upper {} > whole-instance FirstFit {}", upper, ff);

@@ -1097,30 +1097,9 @@ fn recover_tenant(store: &Store, name: &str) -> std::io::Result<(Tenant, Vec<Str
     let mut notes = recovered.notes;
     let mut log = recovered.log;
     let mut anomaly = None;
-    /// One replayable journal record: an online event or a defrag pass.
-    enum Replay {
-        Event(Event),
-        Compact(usize),
-    }
     for (index, record) in recovered.records.iter().enumerate() {
-        let action = std::str::from_utf8(record)
-            .map_err(|e| e.to_string())
-            .and_then(Request::from_json)
-            .and_then(|request| match request {
-                Request::Arrive { tenant, id, job } if tenant == name => {
-                    checked_window(job.0, job.1)
-                        .map(|interval| Replay::Event(Event::arrival(id, interval)))
-                }
-                Request::Depart { tenant, id } if tenant == name => {
-                    Ok(Replay::Event(Event::departure(id)))
-                }
-                Request::Compact { tenant, budget } if tenant == name => {
-                    Ok(Replay::Compact(budget))
-                }
-                other => Err(format!("unexpected '{}' record", other.op())),
-            });
-        let failure = match action {
-            Ok(Replay::Event(event)) => match apply_event(&mut tenant, &event) {
+        let failure = match decode_journal_record(name, record) {
+            Ok(JournalRecord::Event(event)) => match apply_event(&mut tenant, &event) {
                 Response::Error(error) => Some(error.message),
                 _ => None,
             },
@@ -1128,7 +1107,7 @@ fn recover_tenant(store: &Store, name: &str) -> std::io::Result<(Tenant, Vec<Str
             // replayed scheduler holds exactly the placements the live one held
             // when the record was journaled — so replaying it commits the same
             // moves.  Journal appends are skipped here (`log` is rebuilt below).
-            Ok(Replay::Compact(budget)) => {
+            Ok(JournalRecord::Compact(budget)) => {
                 let effect = tenant.scheduler.compact(budget);
                 if let Some(last) = tenant.trajectory.last_mut() {
                     *last = effect.cost.ticks();
@@ -1154,6 +1133,35 @@ fn recover_tenant(store: &Store, name: &str) -> std::io::Result<(Tenant, Vec<Str
     }
     tenant.log = Some(log);
     Ok((tenant, notes))
+}
+
+/// One replayable journal record: an online event or a defrag pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JournalRecord {
+    /// An arrival or a departure, replayed through the tenant's scheduler.
+    Event(Event),
+    /// A `compact(budget)` defrag pass, replayed as the same pass.
+    Compact(usize),
+}
+
+/// Decode one record of tenant `name`'s journal.
+///
+/// Records are the JSON wire requests the shard journaled
+/// ([`Request::event_record_json`] for events, `compact` requests for defrag
+/// passes), and an arrival's window passes the same bound check a live request
+/// does.  Server recovery and the offline `busytime fsck` both decode through this
+/// function, so the audit accepts exactly the records recovery replays.
+pub fn decode_journal_record(name: &str, record: &[u8]) -> Result<JournalRecord, String> {
+    let text = std::str::from_utf8(record).map_err(|e| format!("record is not UTF-8: {e}"))?;
+    match Request::from_json(text)? {
+        Request::Arrive { tenant, id, job } if tenant == name => checked_window(job.0, job.1)
+            .map(|interval| JournalRecord::Event(Event::arrival(id, interval))),
+        Request::Depart { tenant, id } if tenant == name => {
+            Ok(JournalRecord::Event(Event::departure(id)))
+        }
+        Request::Compact { tenant, budget } if tenant == name => Ok(JournalRecord::Compact(budget)),
+        other => Err(format!("unexpected '{}' record", other.op())),
+    }
 }
 
 /// Parse and bound-check one wire job window.

@@ -3,7 +3,6 @@
 //! downstream user would drive the library.
 
 use busytime::analysis::ScheduleSummary;
-use busytime::par::{map_instances, solve_maxthroughput_batch, solve_minbusy_batch};
 use busytime::twodim::{bucket_first_fit, first_fit_2d, DEFAULT_BUCKET_BASE};
 use busytime::{
     Algorithm, AttemptOutcome, Duration, Instance, Problem, ProblemKind, SolveError, Solver,
@@ -104,7 +103,7 @@ fn budgeted_facade_respects_budgets() {
     }
 }
 
-/// `Solver::solve_batch` and the compatibility wrappers agree with sequential solves.
+/// `Solver::solve_batch` agrees with sequential solves, for MinBusy and budgeted requests.
 #[test]
 fn parallel_batch_agrees_with_sequential() {
     let mut rng = StdRng::seed_from_u64(3);
@@ -130,25 +129,19 @@ fn parallel_batch_agrees_with_sequential() {
         assert_eq!(batched.objective, sequential.objective);
     }
 
-    // The compatibility wrappers in `busytime::par`.
-    let wrapped = solve_minbusy_batch(&instances);
-    for ((inst, (schedule, algo)), result) in instances.iter().zip(&wrapped).zip(&batch) {
-        let batched = result.as_ref().unwrap();
-        assert_eq!(Algorithm::from(*algo), batched.algorithm);
-        assert_eq!(schedule.cost(inst), batched.objective.cost());
-    }
-    let cases: Vec<(Instance, Duration)> = instances
+    // Budgeted requests batch the same way, and every result stays within budget.
+    let budgeted: Vec<Problem> = instances
         .iter()
-        .map(|i| (i.clone(), Duration::new(i.total_len().ticks() / 3)))
+        .map(|i| Problem::max_throughput(i.clone(), Duration::new(i.total_len().ticks() / 3)))
         .collect();
-    let tbatch = solve_maxthroughput_batch(&cases);
-    for ((inst, budget), (result, _)) in cases.iter().zip(&tbatch) {
-        result.schedule.validate_budgeted(inst, *budget).unwrap();
+    for (problem, result) in budgeted.iter().zip(solver.solve_batch(&budgeted)) {
+        let budget = problem.budget().unwrap();
+        result
+            .unwrap()
+            .schedule
+            .validate_budgeted(problem.instance(), budget)
+            .unwrap();
     }
-    let costs = map_instances(&instances, |i| {
-        solver.solve_min_busy(i).unwrap().objective.cost()
-    });
-    assert_eq!(costs.len(), instances.len());
 }
 
 /// Policy knobs behave end to end: forcing and exact-only dispatch.

@@ -2,14 +2,16 @@
 //!
 //! Two contracts are pinned down on random workloads from `busytime-workload`:
 //!
-//! 1. **Facade ≡ direct dispatch** — under the default policy, `Solver::solve` selects
-//!    the same algorithm and achieves the same objective as the per-module
-//!    `minbusy::solve_auto` / `maxthroughput::solve_auto` entry points it replaces;
+//! 1. **Dispatch is sound** — under the default policy, the trace walks
+//!    `Algorithm::candidates` in order, only its last entry is the selection, and the
+//!    reported objective is the returned schedule's own cost and throughput;
 //! 2. **`require_exact` ≡ ground truth** — whenever the exact-only policy returns a
 //!    solution on a small instance, its objective equals the `busytime-exact` subset-DP
 //!    optimum (and the solution advertises exactness).
 
-use busytime::{maxthroughput, minbusy, Algorithm, Duration, Problem, Solver};
+use busytime::{
+    Algorithm, AttemptOutcome, Duration, Instance, Problem, ProblemKind, Solution, Solver,
+};
 use busytime_exact::{exact_maxthroughput_value, exact_minbusy_cost};
 use busytime_workload::{
     clique_instance, general_instance, one_sided_instance, proper_clique_instance, proper_instance,
@@ -18,8 +20,26 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The dispatch-trace contract of the default policy: the trace names the candidates
+/// of `kind` in order, strongest first, up to and including the selected one, and only
+/// that last entry is a selection.
+fn assert_trace_walks_candidates(solution: &Solution, kind: ProblemKind) {
+    let walked: Vec<Algorithm> = solution.trace.iter().map(|a| a.algorithm).collect();
+    assert_eq!(walked, Algorithm::candidates(kind)[..walked.len()]);
+    let (last, earlier) = solution.trace.split_last().unwrap();
+    assert_eq!(last.algorithm, solution.algorithm);
+    assert_eq!(last.outcome, AttemptOutcome::Selected);
+    assert!(
+        earlier
+            .iter()
+            .all(|a| a.outcome != AttemptOutcome::Selected),
+        "{}",
+        solution.trace_report()
+    );
+}
+
 /// A random instance drawn from one of the five 1-D workload families.
-fn random_instance(seed: u64, family: usize, n: usize, g: usize) -> busytime::Instance {
+fn random_instance(seed: u64, family: usize, n: usize, g: usize) -> Instance {
     let mut rng = StdRng::seed_from_u64(seed);
     match family % 5 {
         0 => one_sided_instance(&mut rng, n, g, 40),
@@ -33,27 +53,25 @@ fn random_instance(seed: u64, family: usize, n: usize, g: usize) -> busytime::In
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Default-policy facade dispatch agrees with `minbusy::solve_auto` on every family.
+    /// Default-policy MinBusy dispatch is sound on every family.
     #[test]
-    fn facade_matches_minbusy_solve_auto(
+    fn minbusy_dispatch_is_sound(
         seed in 0u64..10_000,
         family in 0usize..5,
         n in 1usize..14,
         g in 1usize..5,
     ) {
         let inst = random_instance(seed, family, n, g);
-        let (schedule, algo) = minbusy::solve_auto(&inst);
         let solution = Solver::new().solve(&Problem::min_busy(inst.clone())).unwrap();
-        prop_assert_eq!(solution.algorithm, Algorithm::from(algo));
-        prop_assert_eq!(solution.objective.cost(), schedule.cost(&inst));
+        assert_trace_walks_candidates(&solution, ProblemKind::MinBusy);
+        prop_assert_eq!(solution.objective.cost(), solution.schedule.cost(&inst));
+        prop_assert_eq!(solution.objective.scheduled(), None);
         solution.schedule.validate_complete(&inst).unwrap();
-        // The last trace entry is the selection; nothing is silently swallowed.
-        prop_assert_eq!(solution.trace.last().unwrap().algorithm, solution.algorithm);
     }
 
-    /// Default-policy facade dispatch agrees with `maxthroughput::solve_auto`.
+    /// Default-policy MaxThroughput dispatch is sound on every family.
     #[test]
-    fn facade_matches_maxthroughput_solve_auto(
+    fn maxthroughput_dispatch_is_sound(
         seed in 0u64..10_000,
         family in 0usize..5,
         n in 1usize..12,
@@ -62,13 +80,12 @@ proptest! {
     ) {
         let inst = random_instance(seed, family, n, g);
         let budget = Duration::new(inst.total_len().ticks() / frac);
-        let (result, algo) = maxthroughput::solve_auto(&inst, budget);
         let solution = Solver::new()
             .solve(&Problem::max_throughput(inst.clone(), budget))
             .unwrap();
-        prop_assert_eq!(solution.algorithm, Algorithm::from(algo));
-        prop_assert_eq!(solution.objective.scheduled(), Some(result.throughput));
-        prop_assert_eq!(solution.objective.cost(), result.cost);
+        assert_trace_walks_candidates(&solution, ProblemKind::MaxThroughput);
+        prop_assert_eq!(solution.objective.scheduled(), Some(solution.schedule.throughput()));
+        prop_assert_eq!(solution.objective.cost(), solution.schedule.cost(&inst));
         solution.schedule.validate_budgeted(&inst, budget).unwrap();
     }
 
